@@ -37,7 +37,7 @@ func (d *Disk) Audit() error {
 		return fmt.Errorf("disk audit: per-SPU sectors sum to %d, total says %d", sectors, d.Total.Sectors)
 	}
 	for _, r := range d.queue {
-		if err := r.validate(d.params); err != nil {
+		if err := r.validate(d.totalSectors); err != nil {
 			return fmt.Errorf("disk audit: queued request invalid: %w", err)
 		}
 	}

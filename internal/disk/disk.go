@@ -41,10 +41,19 @@ type Disk struct {
 	params Params
 	sched  Scheduler
 
-	queue   []*Request
-	busy    bool
-	headCyl int
-	lastEnd int64 // sector after the previous transfer (track-buffer hit)
+	queue []*Request
+	busy  bool
+	// inService is the request being transferred; completeFn, bound once
+	// at New, completes it, so starting a transfer allocates nothing.
+	inService  *Request
+	completeFn func()
+	// slots is the schedulers' and blame pass's per-SPU scratch.
+	slots []spuSlot
+	// Geometry cached from params: the hot paths must not copy Params.
+	sectorsPerCyl int64
+	totalSectors  int64
+	headCyl       int
+	lastEnd       int64 // sector after the previous transfer (track-buffer hit)
 	// lastXferFinish is when the previous transfer left the media. The
 	// track-buffer sequential hit is only honoured within one rotation of
 	// this instant: the read-ahead data in the buffer is overwritten as
@@ -87,14 +96,31 @@ type Disk struct {
 // parameters and scheduling policy. halfLife configures the bandwidth
 // usage decay (0 means the paper's 500 ms).
 func New(eng *sim.Engine, p Params, sched Scheduler, halfLife sim.Time) *Disk {
-	return &Disk{
-		eng:          eng,
-		params:       p,
-		sched:        sched,
-		usage:        newUsageTable(halfLife),
-		completeName: "disk.complete",
-		PerSPU:       make(map[core.SPUID]*SPUStats),
+	d := &Disk{
+		eng:           eng,
+		params:        p,
+		sched:         sched,
+		sectorsPerCyl: p.SectorsPerCylinder(),
+		totalSectors:  p.TotalSectors(),
+		usage:         newUsageTable(halfLife),
+		completeName:  "disk.complete",
+		PerSPU:        make(map[core.SPUID]*SPUStats),
 	}
+	d.completeFn = func() {
+		r := d.inService
+		d.inService = nil
+		d.complete(r)
+	}
+	return d
+}
+
+// cylinderOf is Params.CylinderOf on the cached geometry.
+func (d *Disk) cylinderOf(sector int64) int {
+	c := int(sector / d.sectorsPerCyl)
+	if c >= d.params.Cylinders {
+		c = d.params.Cylinders - 1
+	}
+	return c
 }
 
 // SetLabel names the disk; its completion events become "<label>.complete"
@@ -193,7 +219,7 @@ func (d *Disk) spuStats(id core.SPUID) *SPUStats {
 // Submit enqueues a request. Invalid requests panic: they indicate a bug
 // in the file system layer, not a condition a real driver would see.
 func (d *Disk) Submit(r *Request) {
-	if err := r.validate(d.params); err != nil {
+	if err := r.validate(d.totalSectors); err != nil {
 		panic(err)
 	}
 	r.Submitted = d.eng.Now()
@@ -201,6 +227,7 @@ func (d *Disk) Submit(r *Request) {
 	if d.Merge && d.tryMerge(r) {
 		return
 	}
+	r.cyl = d.cylinderOf(r.Sector)
 	d.queue = append(d.queue, r)
 	d.Total.QueueLen.Set(d.eng.Now(), float64(len(d.queue)))
 	if !d.busy {
@@ -229,6 +256,7 @@ func (d *Disk) tryMerge(r *Request) bool {
 			merged = true
 		case r.Sector+int64(r.Count) == q.Sector: // r prepends to q
 			q.Sector = r.Sector
+			q.cyl = d.cylinderOf(q.Sector)
 			q.Count += r.Count
 			merged = true
 		}
@@ -280,15 +308,17 @@ func (d *Disk) startNext() {
 	}
 	idx := d.sched.pick(d)
 	r := d.queue[idx]
-	d.queue = append(d.queue[:idx], d.queue[idx+1:]...)
+	last := len(d.queue) - 1
+	copy(d.queue[idx:], d.queue[idx+1:])
+	d.queue[last] = nil
+	d.queue = d.queue[:last]
 	now := d.eng.Now()
 	d.Total.QueueLen.Set(now, float64(len(d.queue)))
 	d.busy = true
 	d.Total.Busy.Set(now, 1)
 
 	r.Started = now
-	targetCyl := d.params.CylinderOf(r.Sector)
-	seek := d.params.SeekTime(d.headCyl, targetCyl)
+	seek := d.params.SeekTime(d.headCyl, r.cyl)
 	r.SeekTime = seek
 	settled := now + d.params.Overhead + seek
 	rot := d.params.RotationalDelay(settled, r.Sector)
@@ -318,17 +348,24 @@ func (d *Disk) startNext() {
 		// whole service time of r because the scheduler chose r first.
 		// This is the only source of disk theft in the interference
 		// matrix (a waiter's own queue-time split must not double it).
+		// Theft is integer ns, so one charge of total×n per victim SPU
+		// sums exactly to n charges of total.
+		d.slots = d.slots[:0]
 		for _, q := range d.queue {
 			if q.SPU != r.SPU {
-				d.Profile.AddTheft(q.SPU, r.SPU, profile.Disk, total)
+				d.slotOf(q.SPU).n++
 				q.StolenBy = r.SPU
 			}
 		}
+		for _, v := range d.slots {
+			d.Profile.AddTheft(v.id, r.SPU, profile.Disk, total*sim.Time(v.n))
+		}
 	}
 
-	d.eng.CallAfter(total, d.completeName, func() { d.complete(r) })
+	d.inService = r
+	d.eng.CallAfter(total, d.completeName, d.completeFn)
 	// The head ends up over the last cylinder touched by the transfer.
-	d.headCyl = d.params.CylinderOf(r.Sector + int64(r.Count) - 1)
+	d.headCyl = d.cylinderOf(r.Sector + int64(r.Count) - 1)
 	d.lastEnd = r.Sector + int64(r.Count)
 	d.lastXferFinish = now + total
 }

@@ -12,35 +12,56 @@ type Scheduler interface {
 	pick(d *Disk) int
 }
 
-// cscanBest returns the queue index that C-SCAN would pick from the given
-// candidate indices: the lowest starting cylinder at or ahead of the
-// current head position in the upward sweep, wrapping to the lowest
-// cylinder when the sweep passes the end (§3.3). Ties break by sector,
-// then FIFO.
-func cscanBest(d *Disk, candidates []int) int {
-	best := -1
-	bestWrap := -1
-	better := func(cur, cand int) bool {
-		a, b := d.queue[cand], d.queue[cur]
-		ca, cb := d.params.CylinderOf(a.Sector), d.params.CylinderOf(b.Sector)
-		if ca != cb {
-			return ca < cb
+// spuSlot is one SPU with queued requests, in the per-disk scratch the
+// schedulers and the blame pass reuse across dispatches.
+type spuSlot struct {
+	id   core.SPUID
+	rel  float64 // relative usage, read once per pick
+	n    int     // queued requests (blame pass)
+	pass bool    // eligible for this pick
+}
+
+// slotOf returns the scratch slot for id, appending it in
+// first-appearance order.
+func (d *Disk) slotOf(id core.SPUID) *spuSlot {
+	for i := range d.slots {
+		if d.slots[i].id == id {
+			return &d.slots[i]
 		}
-		if a.Sector != b.Sector {
-			return a.Sector < b.Sector
-		}
-		return cand < cur // FIFO: earlier queue position first
 	}
-	for _, i := range candidates {
-		cyl := d.params.CylinderOf(d.queue[i].Sector)
-		if cyl >= d.headCyl {
-			if best == -1 || better(best, i) {
+	d.slots = append(d.slots, spuSlot{id: id})
+	return &d.slots[len(d.slots)-1]
+}
+
+// gatherUsers fills d.slots with the user SPUs (anything but SharedID)
+// that have queued requests, in first-appearance order.
+func (d *Disk) gatherUsers() {
+	d.slots = d.slots[:0]
+	for _, r := range d.queue {
+		if r.SPU != core.SharedID {
+			d.slotOf(r.SPU)
+		}
+	}
+}
+
+// cscanBest returns the queue index that C-SCAN would pick among the
+// requests of user SPUs whose slot passes (every request if all is
+// set): the
+// lowest starting cylinder at or ahead of the current head position in
+// the upward sweep, wrapping to the lowest cylinder when the sweep
+// passes the end (§3.3). Ties break by sector, then FIFO.
+func cscanBest(d *Disk, all bool) int {
+	best, bestWrap := -1, -1
+	for i, r := range d.queue {
+		if !all && (r.SPU == core.SharedID || !d.slotOf(r.SPU).pass) {
+			continue
+		}
+		if r.cyl >= d.headCyl {
+			if best == -1 || cscanLess(r, d.queue[best]) {
 				best = i
 			}
-		} else {
-			if bestWrap == -1 || better(bestWrap, i) {
-				bestWrap = i
-			}
+		} else if bestWrap == -1 || cscanLess(r, d.queue[bestWrap]) {
+			bestWrap = i
 		}
 	}
 	if best != -1 {
@@ -49,19 +70,14 @@ func cscanBest(d *Disk, candidates []int) int {
 	return bestWrap
 }
 
-// userCandidates partitions the queue into user-SPU requests and
-// shared/kernel requests, returning user indices and shared indices.
-// Shared-SPU requests have the lowest priority (§3.3); kernel requests
-// are treated like user requests (the kernel SPU is never restricted).
-func userCandidates(d *Disk) (user, shared []int) {
-	for i, r := range d.queue {
-		if r.SPU == core.SharedID {
-			shared = append(shared, i)
-		} else {
-			user = append(user, i)
-		}
+// cscanLess orders requests on the same side of the head by cylinder,
+// then sector; the caller scans in FIFO order, so equal keys keep the
+// earlier request.
+func cscanLess(a, b *Request) bool {
+	if a.cyl != b.cyl {
+		return a.cyl < b.cyl
 	}
-	return user, shared
+	return a.Sector < b.Sector
 }
 
 // Pos is IRIX 5.3's standard scheduling: head position only, via C-SCAN.
@@ -75,13 +91,7 @@ func NewPos() *Pos { return &Pos{} }
 // Name implements Scheduler.
 func (*Pos) Name() string { return "Pos" }
 
-func (*Pos) pick(d *Disk) int {
-	all := make([]int, len(d.queue))
-	for i := range d.queue {
-		all[i] = i
-	}
-	return cscanBest(d, all)
-}
+func (*Pos) pick(d *Disk) int { return cscanBest(d, true) }
 
 // Iso is the blind isolation policy: it ignores head position and serves
 // the SPU with the lowest bandwidth usage relative to its share,
@@ -96,23 +106,31 @@ func NewIso() *Iso { return &Iso{} }
 func (*Iso) Name() string { return "Iso" }
 
 func (*Iso) pick(d *Disk) int {
-	user, shared := userCandidates(d)
-	cands := user
-	if len(cands) == 0 {
-		cands = shared
+	now := d.eng.Now()
+	if d.gatherUsers(); len(d.slots) == 0 {
+		// Only shared requests: FIFO, after reading the shared SPU's
+		// usage as the full scan always did.
+		d.usage.relative(now, core.SharedID)
+		return 0
 	}
-	// Lowest relative usage goes first; FIFO within the winning SPU.
-	best := -1
-	var bestRel float64
-	for _, i := range cands {
-		rel := d.usage.relative(d.eng.Now(), d.queue[i].SPU)
-		if best == -1 || rel < bestRel-1e-12 {
-			best, bestRel = i, rel
+	// Lowest relative usage goes first, scanning SPUs in first-appearance
+	// order and replacing only on strictly smaller usage; FIFO within the
+	// winning SPU.
+	best := 0
+	for i := range d.slots {
+		s := &d.slots[i]
+		s.rel = d.usage.relative(now, s.id)
+		if i == 0 || s.rel < d.slots[best].rel-1e-12 {
+			best = i
 		}
 	}
-	// best is the earliest-queued request of the least-served SPU because
-	// queue order is FIFO and we only replace on strictly smaller usage.
-	return best
+	id := d.slots[best].id
+	for i, r := range d.queue {
+		if r.SPU == id {
+			return i
+		}
+	}
+	panic("disk: Iso winner has no queued request")
 }
 
 // PIso is the paper's performance-isolation policy: requests are serviced
@@ -145,32 +163,31 @@ func NewPIso(threshold float64) *PIso {
 func (*PIso) Name() string { return "PIso" }
 
 func (p *PIso) pick(d *Disk) int {
-	user, shared := userCandidates(d)
-	if len(user) == 0 {
-		return cscanBest(d, shared)
+	if d.gatherUsers(); len(d.slots) == 0 {
+		return cscanBest(d, true) // only shared requests queued
 	}
 	now := d.eng.Now()
 	// Fairness criterion over the SPUs that currently have requests
 	// queued. At least one active SPU is at or below the mean, so the
-	// passing set is never empty for Threshold >= 0.
-	var active []core.SPUID
-	seen := make(map[core.SPUID]bool)
-	for _, i := range user {
-		id := d.queue[i].SPU
-		if !seen[id] {
-			seen[id] = true
-			active = append(active, id)
+	// passing set is never empty for Threshold >= 0. The mean sums in
+	// first-appearance order, as the per-request scan did.
+	var sum float64
+	for i := range d.slots {
+		s := &d.slots[i]
+		s.rel = d.usage.relative(now, s.id)
+		sum += s.rel
+	}
+	mean := sum / float64(len(d.slots))
+	passed := false
+	for i := range d.slots {
+		s := &d.slots[i]
+		s.pass = s.rel <= mean+p.Threshold
+		passed = passed || s.pass
+	}
+	if !passed { // defensive; cannot happen with Threshold >= 0
+		for i := range d.slots {
+			d.slots[i].pass = true
 		}
 	}
-	mean := d.usage.meanRelative(now, active)
-	var passing []int
-	for _, i := range user {
-		if d.usage.relative(now, d.queue[i].SPU) <= mean+p.Threshold {
-			passing = append(passing, i)
-		}
-	}
-	if len(passing) == 0 { // defensive; cannot happen with Threshold >= 0
-		passing = user
-	}
-	return cscanBest(d, passing)
+	return cscanBest(d, false)
 }
