@@ -3,6 +3,7 @@ package disk
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"perfiso/internal/core"
 	"perfiso/internal/snap"
@@ -17,10 +18,16 @@ import (
 //     (merged passengers count on both sides; failed transfers on
 //     neither),
 //   - every queued request still addresses sectors on the disk,
+//   - the lanes are consistent: their counts sum to QueueLen, every
+//     queued request sits in exactly one lane (its SPU's) and once in
+//     each of the lane's two orders, the FIFO order is strictly by
+//     enqueue and the C-SCAN order strictly by (cylinder, sector,
+//     enqueue), every cached cylinder matches its sector, and exactly
+//     the non-empty lanes are active,
 //   - the head is over a real cylinder.
 func (d *Disk) Audit() error {
-	if got := int(d.Total.QueueLen.Value()); got != len(d.queue) {
-		return fmt.Errorf("disk audit: queue-length tracker reads %d, queue holds %d", got, len(d.queue))
+	if got := int(d.Total.QueueLen.Value()); got != d.qlen {
+		return fmt.Errorf("disk audit: queue-length tracker reads %d, queue holds %d", got, d.qlen)
 	}
 	if tracked := d.Total.Busy.Value() != 0; tracked != d.busy {
 		return fmt.Errorf("disk audit: busy tracker reads %v, busy flag is %v", tracked, d.busy)
@@ -36,13 +43,76 @@ func (d *Disk) Audit() error {
 	if sectors != d.Total.Sectors {
 		return fmt.Errorf("disk audit: per-SPU sectors sum to %d, total says %d", sectors, d.Total.Sectors)
 	}
-	for _, r := range d.queue {
-		if err := r.validate(d.totalSectors); err != nil {
-			return fmt.Errorf("disk audit: queued request invalid: %w", err)
-		}
+	if err := d.auditLanes(); err != nil {
+		return err
 	}
 	if d.headCyl < 0 || d.headCyl >= d.params.Cylinders {
 		return fmt.Errorf("disk audit: head over cylinder %d of %d", d.headCyl, d.params.Cylinders)
+	}
+	return nil
+}
+
+// auditEpoch numbers Audit passes across all disks, so the mark a pass
+// leaves on a request is never mistaken for another pass's.
+var auditEpoch atomic.Uint64
+
+func (d *Disk) auditLanes() error {
+	if d.sectorsPerCyl != d.params.SectorsPerCylinder() || d.totalSectors != d.params.TotalSectors() {
+		return fmt.Errorf("disk audit: cached geometry (%d sectors/cylinder, %d sectors) disagrees with the parameters", d.sectorsPerCyl, d.totalSectors)
+	}
+	mark := auditEpoch.Add(1)
+	queued, active := 0, 0
+	for id, l := range d.lanes {
+		if l == nil {
+			continue
+		}
+		if l.id != core.SPUID(id) {
+			return fmt.Errorf("disk audit: lane %d filed under spu%d", l.id, id)
+		}
+		if len(l.fifo) != len(l.byCyl) {
+			return fmt.Errorf("disk audit: spu%d lane holds %d in FIFO order, %d in C-SCAN order", id, len(l.fifo), len(l.byCyl))
+		}
+		if len(l.fifo) > 0 {
+			active++
+		}
+		queued += len(l.fifo)
+		for i, r := range l.fifo {
+			if r.SPU != l.id {
+				return fmt.Errorf("disk audit: spu%d request in spu%d lane", r.SPU, id)
+			}
+			if i > 0 && l.fifo[i-1].seq >= r.seq {
+				return fmt.Errorf("disk audit: spu%d lane FIFO out of enqueue order at %d", id, i)
+			}
+			if r.mark == mark {
+				return fmt.Errorf("disk audit: request queued twice")
+			}
+			r.mark = mark
+			if err := r.validate(d.totalSectors); err != nil {
+				return fmt.Errorf("disk audit: queued request invalid: %w", err)
+			}
+			if c := d.cylinderOf(r.Sector); r.cyl != c {
+				return fmt.Errorf("disk audit: sector %d cached on cylinder %d, lies on %d", r.Sector, r.cyl, c)
+			}
+		}
+		for i, r := range l.byCyl {
+			if r.mark != mark || r.SPU != l.id {
+				return fmt.Errorf("disk audit: spu%d lane C-SCAN order holds a request missing from its FIFO", id)
+			}
+			if i > 0 && !cscanLess(l.byCyl[i-1], r) {
+				return fmt.Errorf("disk audit: spu%d lane out of C-SCAN order at %d", id, i)
+			}
+		}
+	}
+	if queued != d.qlen {
+		return fmt.Errorf("disk audit: lanes hold %d requests, queue length is %d", queued, d.qlen)
+	}
+	if active != len(d.active) {
+		return fmt.Errorf("disk audit: %d non-empty lanes, %d active", active, len(d.active))
+	}
+	for _, l := range d.active {
+		if len(l.fifo) == 0 || int(l.id) >= len(d.lanes) || d.lanes[l.id] != l {
+			return fmt.Errorf("disk audit: active lane spu%d is empty or unfiled", l.id)
+		}
 	}
 	return nil
 }
@@ -59,7 +129,7 @@ func (d *Disk) Snapshot(enc *snap.Encoder) {
 	enc.Float("wait_sum", d.Total.Wait.Sum())
 	enc.Int("service_n", d.Total.Service.N())
 	enc.Float("service_sum", d.Total.Service.Sum())
-	enc.Int("queue", int64(len(d.queue)))
+	enc.Int("queue", int64(d.qlen))
 	enc.Bool("busy", d.busy)
 	enc.Int("head_cyl", int64(d.headCyl))
 	enc.Int("last_end", d.lastEnd)

@@ -41,14 +41,22 @@ type Disk struct {
 	params Params
 	sched  Scheduler
 
-	queue []*Request
-	busy  bool
+	// The queue is one lane per SPU, indexed by SPU ID; active lists the
+	// non-empty lanes (in no particular order) and qlen counts their
+	// requests. seq numbers enqueues (the FIFO order) and dispatches
+	// counts services, which stamp the lanes' lazy StolenBy.
+	lanes      []*lane
+	active     []*lane
+	order      []*lane // scratch for Disk.users
+	qlen       int
+	seq        uint64
+	dispatches uint64
+
+	busy bool
 	// inService is the request being transferred; completeFn, bound once
 	// at New, completes it, so starting a transfer allocates nothing.
 	inService  *Request
 	completeFn func()
-	// slots is the schedulers' and blame pass's per-SPU scratch.
-	slots []spuSlot
 	// Geometry cached from params: the hot paths must not copy Params.
 	sectorsPerCyl int64
 	totalSectors  int64
@@ -179,18 +187,15 @@ func (d *Disk) SetFault(prob float64, rng *sim.RNG) {
 func (d *Disk) FailProb() float64 { return d.failProb }
 
 // QueueLen returns the number of requests waiting (not in service).
-func (d *Disk) QueueLen() int { return len(d.queue) }
+func (d *Disk) QueueLen() int { return d.qlen }
 
 // QueuedFor returns the number of waiting requests charged to the SPU —
 // the per-SPU queue depth the observability layer samples.
 func (d *Disk) QueuedFor(id core.SPUID) int {
-	n := 0
-	for _, r := range d.queue {
-		if r.SPU == id {
-			n++
-		}
+	if id < 0 || int(id) >= len(d.lanes) || d.lanes[id] == nil {
+		return 0
 	}
-	return n
+	return len(d.lanes[id].fifo)
 }
 
 // SectorsFor returns the cumulative sectors transferred for the SPU.
@@ -227,23 +232,69 @@ func (d *Disk) Submit(r *Request) {
 	if d.Merge && d.tryMerge(r) {
 		return
 	}
-	r.cyl = d.cylinderOf(r.Sector)
-	d.queue = append(d.queue, r)
-	d.Total.QueueLen.Set(d.eng.Now(), float64(len(d.queue)))
+	d.enqueue(r)
+	d.Total.QueueLen.Set(d.eng.Now(), float64(d.qlen))
 	if !d.busy {
 		d.startNext()
 	}
 }
 
+// enqueue stamps r with its cylinder, FIFO position and the dispatch
+// count, and files it in its SPU's lane.
+func (d *Disk) enqueue(r *Request) {
+	r.cyl = d.cylinderOf(r.Sector)
+	d.seq++
+	r.seq = d.seq
+	r.enq = d.dispatches
+	for int(r.SPU) >= len(d.lanes) {
+		d.lanes = append(d.lanes, nil)
+	}
+	l := d.lanes[r.SPU]
+	if l == nil {
+		l = &lane{id: r.SPU}
+		d.lanes[r.SPU] = l
+	}
+	if len(l.fifo) == 0 {
+		d.active = append(d.active, l)
+	}
+	l.fifo = append(l.fifo, r)
+	l.insertSorted(r)
+	d.qlen++
+}
+
+// dequeue takes r, about to be served, out of its lane and resolves its
+// StolenBy from the lane's last theft.
+func (d *Disk) dequeue(r *Request) {
+	l := d.lanes[r.SPU]
+	l.remove(r)
+	if l.theftAt > r.enq {
+		r.StolenBy = l.thief
+	}
+	if len(l.fifo) == 0 {
+		for i, a := range d.active {
+			if a == l {
+				last := len(d.active) - 1
+				d.active[i] = d.active[last]
+				d.active[last] = nil
+				d.active = d.active[:last]
+				break
+			}
+		}
+	}
+	d.qlen--
+}
+
 // tryMerge coalesces r into an adjacent queued request of the same kind
-// and SPU. Requests with charge-back lists are never merged (their
-// accounting is already aggregated). Reports whether r was absorbed.
+// and SPU, the oldest such first. Requests with charge-back lists are
+// never merged (their accounting is already aggregated). Reports
+// whether r was absorbed.
 func (d *Disk) tryMerge(r *Request) bool {
-	if len(r.Charges) > 0 {
+	if len(r.Charges) > 0 || int(r.SPU) >= len(d.lanes) || d.lanes[r.SPU] == nil {
 		return false
 	}
-	for _, q := range d.queue {
-		if q.Kind != r.Kind || q.SPU != r.SPU || len(q.Charges) > 0 {
+	l := d.lanes[r.SPU]
+	for _, q := range l.fifo {
+		if q.Kind != r.Kind || len(q.Charges) > 0 {
 			continue
 		}
 		if q.Count+r.Count > MaxMergeSectors {
@@ -255,8 +306,11 @@ func (d *Disk) tryMerge(r *Request) bool {
 			q.Count += r.Count
 			merged = true
 		case r.Sector+int64(r.Count) == q.Sector: // r prepends to q
+			// The new start sector moves q in the lane's C-SCAN order.
+			l.removeSorted(q)
 			q.Sector = r.Sector
 			q.cyl = d.cylinderOf(q.Sector)
+			l.insertSorted(q)
 			q.Count += r.Count
 			merged = true
 		}
@@ -301,19 +355,16 @@ func (d *Disk) tryMerge(r *Request) bool {
 // startNext pulls the next request per the scheduling policy and begins
 // service. Caller guarantees the disk is idle.
 func (d *Disk) startNext() {
-	if len(d.queue) == 0 {
+	if d.qlen == 0 {
 		d.busy = false
 		d.Total.Busy.Set(d.eng.Now(), 0)
 		return
 	}
-	idx := d.sched.pick(d)
-	r := d.queue[idx]
-	last := len(d.queue) - 1
-	copy(d.queue[idx:], d.queue[idx+1:])
-	d.queue[last] = nil
-	d.queue = d.queue[:last]
+	r := d.sched.pick(d)
+	d.dequeue(r)
+	d.dispatches++
 	now := d.eng.Now()
-	d.Total.QueueLen.Set(now, float64(len(d.queue)))
+	d.Total.QueueLen.Set(now, float64(d.qlen))
 	d.busy = true
 	d.Total.Busy.Set(now, 1)
 
@@ -349,16 +400,13 @@ func (d *Disk) startNext() {
 		// This is the only source of disk theft in the interference
 		// matrix (a waiter's own queue-time split must not double it).
 		// Theft is integer ns, so one charge of total×n per victim SPU
-		// sums exactly to n charges of total.
-		d.slots = d.slots[:0]
-		for _, q := range d.queue {
-			if q.SPU != r.SPU {
-				d.slotOf(q.SPU).n++
-				q.StolenBy = r.SPU
+		// sums exactly to n charges of total. The victims' requests learn
+		// their thief when they are dispatched (see lane.thief).
+		for _, l := range d.active {
+			if l.id != r.SPU {
+				d.Profile.AddTheft(l.id, r.SPU, profile.Disk, total*sim.Time(len(l.fifo)))
+				l.thief, l.theftAt = r.SPU, d.dispatches
 			}
-		}
-		for _, v := range d.slots {
-			d.Profile.AddTheft(v.id, r.SPU, profile.Disk, total*sim.Time(v.n))
 		}
 	}
 

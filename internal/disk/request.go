@@ -62,12 +62,19 @@ type Request struct {
 	// can separate backoff from genuine queueing in a waiter's stall.
 	Backoff sim.Time
 	// StolenBy is the SPU whose request the scheduler most recently
-	// served while this one sat queued (set by the profiler blame pass;
-	// the zero value means never displaced — the kernel SPU issues no
-	// disk traffic, so KernelID cannot be a real thief).
+	// served while this one sat queued (recorded by the profiler blame
+	// pass, filled in when the request is dispatched; the zero value
+	// means never displaced — the kernel SPU issues no disk traffic, so
+	// KernelID cannot be a real thief).
 	StolenBy core.SPUID
 
-	cyl int // cylinder of Sector, cached by the disk at enqueue
+	// Set by the disk at enqueue: the cylinder of Sector, the FIFO
+	// position, and the disk's dispatch count (see lane.thief).
+	cyl int
+	seq uint64
+	enq uint64
+
+	mark uint64 // last Audit pass that found it queued
 }
 
 // Positioning returns the mechanical positioning latency (seek plus
@@ -85,6 +92,9 @@ func (r *Request) Service() sim.Time { return r.Finished - r.Started }
 func (r *Request) Latency() sim.Time { return r.Finished - r.Submitted }
 
 func (r *Request) validate(totalSectors int64) error {
+	if r.SPU < 0 {
+		return fmt.Errorf("disk: request for invalid SPU %d", r.SPU)
+	}
 	if r.Count <= 0 {
 		return fmt.Errorf("disk: request with non-positive count %d", r.Count)
 	}

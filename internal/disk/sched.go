@@ -7,77 +7,47 @@ import "perfiso/internal/core"
 type Scheduler interface {
 	// Name returns the policy name as used in the paper's tables.
 	Name() string
-	// pick returns the index into d.queue of the next request to service.
-	// It is only called with a non-empty queue.
-	pick(d *Disk) int
+	// pick returns the next queued request to service. It is only
+	// called with a non-empty queue.
+	pick(d *Disk) *Request
 }
 
-// spuSlot is one SPU with queued requests, in the per-disk scratch the
-// schedulers and the blame pass reuse across dispatches.
-type spuSlot struct {
-	id   core.SPUID
-	rel  float64 // relative usage, read once per pick
-	n    int     // queued requests (blame pass)
-	pass bool    // eligible for this pick
-}
-
-// slotOf returns the scratch slot for id, appending it in
-// first-appearance order.
-func (d *Disk) slotOf(id core.SPUID) *spuSlot {
-	for i := range d.slots {
-		if d.slots[i].id == id {
-			return &d.slots[i]
-		}
-	}
-	d.slots = append(d.slots, spuSlot{id: id})
-	return &d.slots[len(d.slots)-1]
-}
-
-// gatherUsers fills d.slots with the user SPUs (anything but SharedID)
-// that have queued requests, in first-appearance order.
-func (d *Disk) gatherUsers() {
-	d.slots = d.slots[:0]
-	for _, r := range d.queue {
-		if r.SPU != core.SharedID {
-			d.slotOf(r.SPU)
-		}
-	}
-}
-
-// cscanBest returns the queue index that C-SCAN would pick among the
-// requests of user SPUs whose slot passes (every request if all is
-// set): the
-// lowest starting cylinder at or ahead of the current head position in
-// the upward sweep, wrapping to the lowest cylinder when the sweep
-// passes the end (§3.3). Ties break by sector, then FIFO.
-func cscanBest(d *Disk, all bool) int {
-	best, bestWrap := -1, -1
-	for i, r := range d.queue {
-		if !all && (r.SPU == core.SharedID || !d.slotOf(r.SPU).pass) {
+// users fills d.order with the lanes of user SPUs (anything but
+// SharedID) that have requests queued, in the order their SPUs first
+// appear in the queue: by the seq of each lane's oldest request.
+func (d *Disk) users() []*lane {
+	o := d.order[:0]
+	for _, l := range d.active {
+		if l.id == core.SharedID {
 			continue
 		}
-		if r.cyl >= d.headCyl {
-			if best == -1 || cscanLess(r, d.queue[best]) {
-				best = i
-			}
-		} else if bestWrap == -1 || cscanLess(r, d.queue[bestWrap]) {
-			bestWrap = i
+		o = append(o, l)
+		for i := len(o) - 1; i > 0 && o[i].fifo[0].seq < o[i-1].fifo[0].seq; i-- {
+			o[i], o[i-1] = o[i-1], o[i]
 		}
 	}
-	if best != -1 {
-		return best
-	}
-	return bestWrap
+	d.order = o
+	return o
 }
 
-// cscanLess orders requests on the same side of the head by cylinder,
-// then sector; the caller scans in FIFO order, so equal keys keep the
-// earlier request.
-func cscanLess(a, b *Request) bool {
-	if a.cyl != b.cyl {
-		return a.cyl < b.cyl
+// cscan returns the request C-SCAN would pick among the active lanes
+// (only the passing user lanes if passingOnly is set): the lowest
+// starting cylinder at or ahead of the current head position in the
+// upward sweep, wrapping to the lowest cylinder when the sweep passes
+// the end (§3.3). Ties break by sector, then FIFO.
+func (d *Disk) cscan(passingOnly bool) *Request {
+	var best *Request
+	bestAhead := false
+	for _, l := range d.active {
+		if passingOnly && (l.id == core.SharedID || !l.pass) {
+			continue
+		}
+		r, ahead := l.next(d.headCyl)
+		if best == nil || ahead && !bestAhead || ahead == bestAhead && cscanLess(r, best) {
+			best, bestAhead = r, ahead
+		}
 	}
-	return a.Sector < b.Sector
+	return best
 }
 
 // Pos is IRIX 5.3's standard scheduling: head position only, via C-SCAN.
@@ -91,7 +61,7 @@ func NewPos() *Pos { return &Pos{} }
 // Name implements Scheduler.
 func (*Pos) Name() string { return "Pos" }
 
-func (*Pos) pick(d *Disk) int { return cscanBest(d, true) }
+func (*Pos) pick(d *Disk) *Request { return d.cscan(false) }
 
 // Iso is the blind isolation policy: it ignores head position and serves
 // the SPU with the lowest bandwidth usage relative to its share,
@@ -105,32 +75,26 @@ func NewIso() *Iso { return &Iso{} }
 // Name implements Scheduler.
 func (*Iso) Name() string { return "Iso" }
 
-func (*Iso) pick(d *Disk) int {
+func (*Iso) pick(d *Disk) *Request {
 	now := d.eng.Now()
-	if d.gatherUsers(); len(d.slots) == 0 {
+	users := d.users()
+	if len(users) == 0 {
 		// Only shared requests: FIFO, after reading the shared SPU's
-		// usage as the full scan always did.
+		// usage as the policy always has.
 		d.usage.relative(now, core.SharedID)
-		return 0
+		return d.lanes[core.SharedID].fifo[0]
 	}
-	// Lowest relative usage goes first, scanning SPUs in first-appearance
+	// Lowest relative usage goes first, taking SPUs in first-appearance
 	// order and replacing only on strictly smaller usage; FIFO within the
 	// winning SPU.
-	best := 0
-	for i := range d.slots {
-		s := &d.slots[i]
-		s.rel = d.usage.relative(now, s.id)
-		if i == 0 || s.rel < d.slots[best].rel-1e-12 {
-			best = i
+	best := users[0]
+	bestRel := d.usage.relative(now, best.id)
+	for _, l := range users[1:] {
+		if rel := d.usage.relative(now, l.id); rel < bestRel-1e-12 {
+			best, bestRel = l, rel
 		}
 	}
-	id := d.slots[best].id
-	for i, r := range d.queue {
-		if r.SPU == id {
-			return i
-		}
-	}
-	panic("disk: Iso winner has no queued request")
+	return best.fifo[0]
 }
 
 // PIso is the paper's performance-isolation policy: requests are serviced
@@ -162,32 +126,31 @@ func NewPIso(threshold float64) *PIso {
 // Name implements Scheduler.
 func (*PIso) Name() string { return "PIso" }
 
-func (p *PIso) pick(d *Disk) int {
-	if d.gatherUsers(); len(d.slots) == 0 {
-		return cscanBest(d, true) // only shared requests queued
+func (p *PIso) pick(d *Disk) *Request {
+	users := d.users()
+	if len(users) == 0 {
+		return d.cscan(false) // only shared requests queued
 	}
 	now := d.eng.Now()
 	// Fairness criterion over the SPUs that currently have requests
 	// queued. At least one active SPU is at or below the mean, so the
 	// passing set is never empty for Threshold >= 0. The mean sums in
-	// first-appearance order, as the per-request scan did.
+	// first-appearance order: float addition order matters.
 	var sum float64
-	for i := range d.slots {
-		s := &d.slots[i]
-		s.rel = d.usage.relative(now, s.id)
-		sum += s.rel
+	for _, l := range users {
+		l.rel = d.usage.relative(now, l.id)
+		sum += l.rel
 	}
-	mean := sum / float64(len(d.slots))
+	mean := sum / float64(len(users))
 	passed := false
-	for i := range d.slots {
-		s := &d.slots[i]
-		s.pass = s.rel <= mean+p.Threshold
-		passed = passed || s.pass
+	for _, l := range users {
+		l.pass = l.rel <= mean+p.Threshold
+		passed = passed || l.pass
 	}
 	if !passed { // defensive; cannot happen with Threshold >= 0
-		for i := range d.slots {
-			d.slots[i].pass = true
+		for _, l := range users {
+			l.pass = true
 		}
 	}
-	return cscanBest(d, false)
+	return d.cscan(true)
 }
