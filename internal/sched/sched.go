@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"perfiso/internal/core"
 	"perfiso/internal/lock"
@@ -104,9 +105,11 @@ type Scheduler struct {
 
 	// rotor state for time-partitioning fractional CPU entitlements:
 	// rotorFrac holds each SPU's fractional claim per tick, rotorCredit
-	// its accumulated unserved credit.
+	// its accumulated unserved credit. rotorIDs lists rotorCredit's keys
+	// in ascending order, so rotate never depends on map order.
 	rotorFrac   map[core.SPUID]float64
 	rotorCredit map[core.SPUID]float64
+	rotorIDs    []core.SPUID
 
 	Stat Stats
 	// PerSPUTime accumulates CPU seconds consumed per SPU.
@@ -279,6 +282,9 @@ func (s *Scheduler) AssignHomes() {
 	for _, c := range claims {
 		s.rotorFrac[c.id] = c.frac
 		s.rotorCredit[c.id] = 0
+		if i, found := slices.BinarySearch(s.rotorIDs, c.id); !found {
+			s.rotorIDs = slices.Insert(s.rotorIDs, i, c.id)
+		}
 	}
 }
 
@@ -386,27 +392,33 @@ func (s *Scheduler) Homes() []core.SPUID {
 // entitlement, weighted by their fractions (largest accumulated credit
 // first). Called from Tick.
 func (s *Scheduler) rotate() {
-	var rotatable []*cpu
+	rotatable := 0
 	for _, c := range s.cpus {
 		if !c.fixed && !c.offline {
-			rotatable = append(rotatable, c)
+			rotatable++
 		}
 	}
-	if len(rotatable) == 0 || len(s.rotorFrac) == 0 {
+	if rotatable == 0 || len(s.rotorFrac) == 0 {
 		return
 	}
 	// Accumulate each claimant's fractional credit, then give each
-	// rotatable CPU to the claimant with the most credit (deterministic
-	// tie-break by SPU ID), consuming one CPU-tick of credit.
+	// rotatable CPU to the claimant with the most credit, consuming one
+	// CPU-tick of credit. Claimants are scanned in ascending SPU ID and a
+	// later one must beat the best so far by more than 1e-12, so
+	// near-equal credits always resolve the same way. (Ranging over the
+	// map with a symmetric tolerance was not transitive: three
+	// near-equal credits resolved in map iteration order.)
 	for id, f := range s.rotorFrac {
 		s.rotorCredit[id] += f
 	}
-	for _, c := range rotatable {
+	for _, c := range s.cpus {
+		if c.fixed || c.offline {
+			continue
+		}
 		var best core.SPUID = -1
 		var bestCredit float64
-		for id, credit := range s.rotorCredit {
-			if best == -1 || credit > bestCredit+1e-12 ||
-				(credit > bestCredit-1e-12 && id < best) {
+		for _, id := range s.rotorIDs {
+			if credit := s.rotorCredit[id]; best == -1 || credit > bestCredit+1e-12 {
 				best, bestCredit = id, credit
 			}
 		}

@@ -354,3 +354,35 @@ func TestUtilizationAndIdleCounts(t *testing.T) {
 		t.Fatalf("runqueue = %d after drain", s.RunqueueLen())
 	}
 }
+
+// Regression: rotate ranged over the rotorCredit map with a symmetric
+// 1e-12 tie-break, which is not transitive. Three near-equal credits
+// (each within the tolerance of its neighbour, the outer two not) then
+// re-homed the rotating CPU to whichever SPU map iteration order
+// favoured, so replays of one run could diverge.
+func TestRotateNearEqualCreditsDeterministic(t *testing.T) {
+	_, _, s, us := schedRig(3, core.ShareIdle, 4)
+	rot := -1
+	for i, c := range s.cpus {
+		if !c.fixed {
+			rot = i
+		}
+	}
+	if rot < 0 || len(s.rotorIDs) != 3 {
+		t.Fatalf("rig has rotating CPU %d and %d claimants, want one and 3", rot, len(s.rotorIDs))
+	}
+	var first core.SPUID = -1
+	for i := 0; i < 200; i++ {
+		for k, u := range us {
+			s.rotorCredit[u.ID()] = 1 + float64(k)*0.6e-12 - s.rotorFrac[u.ID()]
+		}
+		s.rotate()
+		home := s.cpus[rot].home
+		if first == -1 {
+			first = home
+		}
+		if home != first {
+			t.Fatalf("rotation %d re-homed the CPU to spu%d, earlier ones to spu%d", i, home, first)
+		}
+	}
+}
