@@ -3,18 +3,22 @@ package disk
 import (
 	"testing"
 
+	"perfiso/internal/core"
 	"perfiso/internal/sim"
 )
 
 // benchDrain submits nReq requests and drains the disk, measuring
-// whole-request pipeline cost including the scheduler's pick.
-func benchDrain(b *testing.B, sched Scheduler, scattered bool) {
+// whole-request pipeline cost including the scheduler's pick. Shallow
+// drains alternate two SPUs; deep ones rotate three user SPUs and the
+// shared SPU.
+func benchDrain(b *testing.B, sched Scheduler, scattered bool, nReq int) {
 	b.Helper()
+	b.ReportAllocs()
+	deep := nReq > 256
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		eng := sim.NewEngine()
 		d := New(eng, HP97560(), sched, 0)
-		const nReq = 256
 		spc := d.Params().SectorsPerCylinder()
 		b.StartTimer()
 		for j := 0; j < nReq; j++ {
@@ -23,7 +27,12 @@ func benchDrain(b *testing.B, sched Scheduler, scattered bool) {
 				sector = (int64(j*37) % 1900) * spc
 			}
 			spu := spuA
-			if j%2 == 1 {
+			switch {
+			case deep && j%4 == 3:
+				spu = core.SharedID
+			case deep:
+				spu = core.FirstUserID + core.SPUID(j%4)
+			case j%2 == 1:
 				spu = spuB
 			}
 			d.Submit(&Request{Kind: Read, Sector: sector, Count: 16, SPU: spu})
@@ -32,11 +41,18 @@ func benchDrain(b *testing.B, sched Scheduler, scattered bool) {
 	}
 }
 
-func BenchmarkPosSequential(b *testing.B)  { benchDrain(b, NewPos(), false) }
-func BenchmarkPosScattered(b *testing.B)   { benchDrain(b, NewPos(), true) }
-func BenchmarkIsoScattered(b *testing.B)   { benchDrain(b, NewIso(), true) }
-func BenchmarkPIsoScattered(b *testing.B)  { benchDrain(b, NewPIso(0), true) }
-func BenchmarkPIsoSequential(b *testing.B) { benchDrain(b, NewPIso(0), false) }
+const deepDrain = 2048
+
+func BenchmarkPosSequential(b *testing.B)  { benchDrain(b, NewPos(), false, 256) }
+func BenchmarkPosScattered(b *testing.B)   { benchDrain(b, NewPos(), true, 256) }
+func BenchmarkIsoScattered(b *testing.B)   { benchDrain(b, NewIso(), true, 256) }
+func BenchmarkPIsoScattered(b *testing.B)  { benchDrain(b, NewPIso(0), true, 256) }
+func BenchmarkPIsoSequential(b *testing.B) { benchDrain(b, NewPIso(0), false, 256) }
+
+func BenchmarkDeepPosScattered(b *testing.B)   { benchDrain(b, NewPos(), true, deepDrain) }
+func BenchmarkDeepIsoScattered(b *testing.B)   { benchDrain(b, NewIso(), true, deepDrain) }
+func BenchmarkDeepPIsoScattered(b *testing.B)  { benchDrain(b, NewPIso(0), true, deepDrain) }
+func BenchmarkDeepPIsoSequential(b *testing.B) { benchDrain(b, NewPIso(0), false, deepDrain) }
 
 // BenchmarkSeekModel measures the pure mechanical model.
 func BenchmarkSeekModel(b *testing.B) {

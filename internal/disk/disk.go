@@ -320,10 +320,18 @@ func (d *Disk) tryMerge(r *Request) bool {
 		d.Total.Merges++
 		done := r.Done
 		prev := q.Done
+		fired := false
 		q.Done = func(qq *Request) {
 			if prev != nil {
 				prev(qq)
 			}
+			// A passenger rides one transfer. If that transfer failed, the
+			// passenger's submitter resubmits it on its own, so a retry
+			// of the host must not complete it again.
+			if fired {
+				return
+			}
+			fired = true
 			// The absorbed request completes with its host. It was a
 			// real request with a real queueing delay and completion
 			// time, so it counts in the latency statistics like any

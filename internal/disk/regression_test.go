@@ -88,3 +88,42 @@ func TestMergeAbsorbedRequestStatsCounted(t *testing.T) {
 		t.Fatalf("Total.Sectors = %d, want 24", d.Total.Sectors)
 	}
 }
+
+// Regression: a request absorbed by a merge used to stay attached to
+// its host's Done chain for good. When the host's transfer failed, the
+// passenger's submitter resubmitted it, and the host's retry then
+// completed it a second time, once through the chain and once through
+// its own transfer (or re-queued it while it was still queued).
+func TestMergePassengerCompletesOnce(t *testing.T) {
+	eng, d := newTestDisk(NewPos())
+	d.Merge = true
+	retry := func(r *Request) {
+		eng.CallAfter(sim.Millisecond, "retry", func() { d.Submit(r) })
+	}
+	var hostOK, passengerOK, passengerFailed int
+	d.Submit(req(spuA, 500000, 8, nil)) // occupy the disk
+	d.Submit(req(spuA, 1000, 8, func(r *Request) {
+		if r.Failed {
+			d.SetFault(0, nil) // the retry succeeds
+			retry(r)
+			return
+		}
+		hostOK++
+	}))
+	d.Submit(req(spuA, 1008, 8, func(r *Request) {
+		if r.Failed {
+			passengerFailed++
+			retry(r)
+			return
+		}
+		passengerOK++
+	}))
+	d.SetFault(1, sim.NewRNG(1)) // the host's first transfer fails
+	eng.Run()
+	if hostOK != 1 || passengerFailed != 1 || passengerOK != 1 {
+		t.Fatalf("host ok %d, passenger failed %d ok %d; want 1, 1, 1", hostOK, passengerFailed, passengerOK)
+	}
+	if err := d.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
