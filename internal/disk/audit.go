@@ -77,22 +77,15 @@ func (d *Disk) auditLanes() error {
 		}
 		queued += len(l.fifo)
 		for i, r := range l.fifo {
-			if r.SPU != l.id {
-				return fmt.Errorf("disk audit: spu%d request in spu%d lane", r.SPU, id)
-			}
-			if i > 0 && l.fifo[i-1].seq >= r.seq {
-				return fmt.Errorf("disk audit: spu%d lane FIFO out of enqueue order at %d", id, i)
-			}
-			if r.mark == mark {
-				return fmt.Errorf("disk audit: request queued twice")
+			// One cheap test per request; auditRequest names the law
+			// that failed.
+			lo := int64(r.cyl) * d.sectorsPerCyl
+			if r.SPU != l.id || i > 0 && l.fifo[i-1].seq >= r.seq || r.mark == mark ||
+				r.Count <= 0 || r.Sector < lo || r.Sector-lo >= d.sectorsPerCyl ||
+				r.Sector+int64(r.Count) > d.totalSectors {
+				return d.auditRequest(l, i, mark)
 			}
 			r.mark = mark
-			if err := r.validate(d.totalSectors); err != nil {
-				return fmt.Errorf("disk audit: queued request invalid: %w", err)
-			}
-			if c := d.cylinderOf(r.Sector); r.cyl != c {
-				return fmt.Errorf("disk audit: sector %d cached on cylinder %d, lies on %d", r.Sector, r.cyl, c)
-			}
 		}
 		for i, r := range l.byCyl {
 			if r.mark != mark || r.SPU != l.id {
@@ -115,6 +108,26 @@ func (d *Disk) auditLanes() error {
 		}
 	}
 	return nil
+}
+
+// auditRequest reports which law the i-th request of l's FIFO order
+// breaks.
+func (d *Disk) auditRequest(l *lane, i int, mark uint64) error {
+	r := l.fifo[i]
+	if r.SPU != l.id {
+		return fmt.Errorf("disk audit: spu%d request in spu%d lane", r.SPU, l.id)
+	}
+	if i > 0 && l.fifo[i-1].seq >= r.seq {
+		return fmt.Errorf("disk audit: spu%d lane FIFO out of enqueue order at %d", l.id, i)
+	}
+	if r.mark == mark {
+		return fmt.Errorf("disk audit: request queued twice")
+	}
+	if err := r.validate(d.totalSectors); err != nil {
+		return fmt.Errorf("disk audit: queued request invalid: %w", err)
+	}
+	c := d.cylinderOf(r.Sector)
+	return fmt.Errorf("disk audit: sector %d cached on cylinder %d, lies on %d", r.Sector, r.cyl, c)
 }
 
 // Snapshot writes the disk's state for checkpoint comparison: totals,

@@ -61,3 +61,17 @@ func BenchmarkSeekModel(b *testing.B) {
 		_ = p.SeekTime(0, i%p.Cylinders)
 	}
 }
+
+// BenchmarkDeepAudit measures one Audit of a disk with deepDrain
+// requests queued over three user SPUs and the shared SPU; the
+// invariant auditor runs it on every disk at every tick.
+func BenchmarkDeepAudit(b *testing.B) {
+	d, _ := steadyDisk(NewPIso(0), deepDrain, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Audit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

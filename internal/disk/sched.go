@@ -12,9 +12,11 @@ type Scheduler interface {
 	pick(d *Disk) *Request
 }
 
-// users fills d.order with the lanes of user SPUs (anything but
-// SharedID) that have requests queued, in the order their SPUs first
-// appear in the queue: by the seq of each lane's oldest request.
+// users fills d.order with the lanes of user SPUs that have requests
+// queued, in the order their SPUs first appear in the queue: by the seq
+// of each lane's oldest request. Shared-SPU requests have the lowest
+// priority (§3.3) and are left out; kernel requests are treated like
+// user requests (the kernel SPU is never restricted).
 func (d *Disk) users() []*lane {
 	o := d.order[:0]
 	for _, l := range d.active {

@@ -404,10 +404,9 @@ func (s *Scheduler) rotate() {
 	// Accumulate each claimant's fractional credit, then give each
 	// rotatable CPU to the claimant with the most credit, consuming one
 	// CPU-tick of credit. Claimants are scanned in ascending SPU ID and a
-	// later one must beat the best so far by more than 1e-12, so
-	// near-equal credits always resolve the same way. (Ranging over the
-	// map with a symmetric tolerance was not transitive: three
-	// near-equal credits resolved in map iteration order.)
+	// later one must beat the best so far by more than 1e-12. A fixed
+	// order matters: the tolerance is not transitive, so near-equal
+	// credits would otherwise resolve by map iteration order.
 	for id, f := range s.rotorFrac {
 		s.rotorCredit[id] += f
 	}
