@@ -238,7 +238,13 @@ func TestDiskPickMatchesReference(t *testing.T) {
 }
 
 // FuzzDiskPick is the fuzzing form of TestDiskPickMatchesReference. Run
-// it with: go test -run '^$' -fuzz FuzzDiskPick -fuzztime 20s ./internal/disk
+// it with
+//
+//	go test -run '^$' -fuzz FuzzDiskPick -fuzztime 20s -fuzzminimizetime 1x ./internal/disk
+//
+// Inputs near the 2,000-deep seed take about a second each under the
+// fuzzer's instrumentation, so the default minimization budget (60 s
+// per new input) would stall the run on them.
 func FuzzDiskPick(f *testing.F) {
 	burst := []byte{0, 0, 10, 85, 4, 40, 6, 1, 8, 53, 0, 16, 7, 2, 3, 3, 9, 60, 4, 0, 5, 6, 0, 33}
 	// A 2,000-deep two-SPU queue under PIso at the default threshold.
