@@ -38,6 +38,10 @@ func newRefDisk(eng *sim.Engine, p Params, policy Scheduler, halfLife sim.Time) 
 	return &refDisk{eng: eng, params: p, policy: policy, usage: newUsageTable(halfLife)}
 }
 
+func (t *usageTable) meanRelative(now sim.Time, ids []core.SPUID) float64 {
+	return t.MeanRelative(now, ids)
+}
+
 func (d *refDisk) SetShare(id core.SPUID, w float64) { d.usage.setShare(id, w) }
 
 func (d *refDisk) SetFault(prob float64, rng *sim.RNG) { d.failProb, d.failRNG = prob, rng }

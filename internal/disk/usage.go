@@ -25,7 +25,3 @@ func (t *usageTable) charge(now sim.Time, id core.SPUID, sectors int) {
 func (t *usageTable) relative(now sim.Time, id core.SPUID) float64 {
 	return t.Relative(now, id)
 }
-
-func (t *usageTable) meanRelative(now sim.Time, ids []core.SPUID) float64 {
-	return t.MeanRelative(now, ids)
-}
