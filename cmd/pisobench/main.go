@@ -4,9 +4,10 @@
 // registry in internal/experiment and run across a bounded worker pool
 // (-parallel); output order is always the registry order, so parallel
 // runs print byte-identical tables. With -short it skips the ablations;
-// -json writes a machine-readable benchmark report, and -metrics writes
-// the per-experiment observability artifact (JSONL, deterministic at
-// any -parallel level).
+// -json writes a machine-readable benchmark report, and -artifacts DIR
+// writes the per-experiment observer artifacts into DIR: metrics.jsonl,
+// profile.jsonl, latency.jsonl and controller.jsonl (deterministic at
+// any -parallel level and on either event queue).
 //
 // With -perf it instead measures the event core's throughput per
 // registry scenario (events/sec, ns/event, allocs/event, rep-to-rep CV)
@@ -20,22 +21,21 @@
 // itself: every registry scenario runs under the self-observability
 // collector (internal/simobs) and prints its event census, calendar-
 // queue internals, sampled host-time attribution, and the parallelism-
-// feasibility report; -simobs-jsonl and -simobs-pprof write the machine
-// artifacts (the pprof one opens with `go tool pprof`).
+// feasibility report; -artifacts DIR writes the machine artifacts
+// simobs.jsonl and hostprofile.pb.gz (which opens with `go tool pprof`).
 //
 // Usage:
 //
-//	pisobench [-short] [-markdown] [-only ID] [-parallel N] [-json PATH] [-metrics PATH] [-latency PATH] [-controller PATH] [-eventq calendar|heap]
+//	pisobench [-short] [-markdown] [-only ID] [-parallel N] [-json PATH] [-artifacts DIR] [-eventq calendar|heap]
 //	pisobench -perf [-perf-scenarios IDS] [-perf-reps N] [-perf-baseline PATH] [-perf-gate FRAC] [-perf-trajectory PATH] [-json PATH]
 //	pisobench -perf-history BENCH_trajectory.jsonl
-//	pisobench -simobs [-simobs-scenarios IDS] [-simobs-jsonl PATH] [-simobs-pprof PATH]
+//	pisobench -simobs [-simobs-scenarios IDS] [-artifacts DIR]
 //	pisobench -diff OLD.json NEW.json   (bench, perf, or trajectory files)
 //	pisobench -soak [-soak-runs N] [-soak-seed S] [-soak-case K] [-soak-faults SPEC]
 //	pisobench -list
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -64,10 +64,7 @@ type config struct {
 	only        string
 	parallel    int
 	jsonPath    string
-	metricsPath string
-	profilePath string
-	latencyPath string
-	controlPath string
+	artifacts   string
 	eventq      string
 	diff        bool
 	diffArgs    []string
@@ -80,8 +77,6 @@ type config struct {
 	perfHistory string
 	simobs      bool
 	simobsOnly  string
-	simobsJSONL string
-	simobsPprof string
 	soak        bool
 	soakRuns    int
 	soakSeed    uint64
@@ -98,10 +93,7 @@ func main() {
 	flag.BoolVar(&cfg.list, "list", false, "list registered experiment ids and exit")
 	flag.IntVar(&cfg.parallel, "parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently")
 	flag.StringVar(&cfg.jsonPath, "json", "", "write a machine-readable benchmark report to this path")
-	flag.StringVar(&cfg.metricsPath, "metrics", "", "write the per-experiment metrics artifact (JSONL) to this path")
-	flag.StringVar(&cfg.profilePath, "profile", "", "write the per-experiment attribution artifact (JSONL: latency breakdowns, interference matrix, spans) to this path")
-	flag.StringVar(&cfg.latencyPath, "latency", "", "write the per-experiment tail-latency artifact (JSONL: percentiles, SLO attainment, window timelines) to this path")
-	flag.StringVar(&cfg.controlPath, "controller", "", "write the per-experiment controller artifact (JSONL: decision logs of every closed-loop run) to this path")
+	flag.StringVar(&cfg.artifacts, "artifacts", "", "write the machine artifacts into this directory, created if missing: metrics, profile, latency and controller JSONL (with -simobs: simobs.jsonl and hostprofile.pb.gz)")
 	flag.BoolVar(&cfg.diff, "diff", false, "compare two pisobench JSON reports (bench or perf): pisobench -diff old.json new.json")
 	flag.StringVar(&cfg.eventq, "eventq", "", "event queue implementation: calendar (default) or heap")
 	flag.BoolVar(&cfg.perf, "perf", false, "run the perf baseline instead of printing tables (BENCH_perf.json via -json)")
@@ -113,8 +105,6 @@ func main() {
 	flag.StringVar(&cfg.perfHistory, "perf-history", "", "render the perf trajectory at this path as a trend report and exit")
 	flag.BoolVar(&cfg.simobs, "simobs", false, "run registry scenarios under the simulator self-observability collector and print the reports")
 	flag.StringVar(&cfg.simobsOnly, "simobs-scenarios", "", "simobs: comma-separated scenario ids (default: full registry)")
-	flag.StringVar(&cfg.simobsJSONL, "simobs-jsonl", "", "simobs: write the telemetry artifact (JSONL) to this path")
-	flag.StringVar(&cfg.simobsPprof, "simobs-pprof", "", "simobs: write the host-time attribution profile (gzipped pprof) to this path")
 	flag.BoolVar(&cfg.soak, "soak", false, "run the chaos-soak harness instead of the evaluation suite")
 	flag.IntVar(&cfg.soakRuns, "soak-runs", 16, "soak: number of generated cases to run")
 	flag.Uint64Var(&cfg.soakSeed, "soak-seed", 1, "soak: sweep seed; every case derives from it deterministically")
@@ -269,26 +259,19 @@ func runSimObs(cfg config, stdout, stderr io.Writer) int {
 		reports = append(reports, r.Report)
 	}
 	fmt.Fprintln(stdout, experiment.FeasibilityTable(results))
-	if cfg.simobsJSONL != "" {
-		var buf strings.Builder
-		for _, rep := range reports {
-			if err := rep.WriteJSONL(&buf); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-		}
-		if err := os.WriteFile(cfg.simobsJSONL, []byte(buf.String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.simobsPprof != "" {
-		var buf bytes.Buffer
-		if err := simobs.WritePprofAll(&buf, reports); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.simobsPprof, buf.Bytes(), 0o644); err != nil {
+	if cfg.artifacts != "" {
+		err := experiment.WriteDir(cfg.artifacts, []experiment.ArtifactFile{
+			{Name: "simobs.jsonl", Write: func(w io.Writer) error {
+				for _, rep := range reports {
+					if err := rep.WriteJSONL(w); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+			{Name: "hostprofile.pb.gz", Write: func(w io.Writer) error { return simobs.WritePprofAll(w, reports) }},
+		})
+		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -430,46 +413,8 @@ func run(cfg config, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if cfg.metricsPath != "" {
-		var buf strings.Builder
-		if err := experiment.MetricsJSONL(results, &buf); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.metricsPath, []byte(buf.String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.profilePath != "" {
-		var buf strings.Builder
-		if err := experiment.ProfileJSONL(results, &buf); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.profilePath, []byte(buf.String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.latencyPath != "" {
-		var buf strings.Builder
-		if err := experiment.LatencyJSONL(results, &buf); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.latencyPath, []byte(buf.String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.controlPath != "" {
-		var buf strings.Builder
-		if err := experiment.ControllerJSONL(results, &buf); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.controlPath, []byte(buf.String()), 0o644); err != nil {
+	if cfg.artifacts != "" {
+		if err := experiment.WriteArtifacts(cfg.artifacts, results); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}

@@ -149,24 +149,23 @@ func TestRunOnlyAliasPrintsOneSection(t *testing.T) {
 	}
 }
 
-// -only open-arrival with -latency and -json: the latency artifact and
+// -only open-arrival with -artifacts and -json: the latency artifact and
 // the bench report's embedded latency summaries both materialize.
 func TestRunOpenArrivalWritesLatencyArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the open-arrival experiment")
 	}
 	dir := t.TempDir()
-	latPath := filepath.Join(dir, "latency.jsonl")
 	jsonPath := filepath.Join(dir, "bench.json")
 	var out, errOut strings.Builder
-	cfg := config{only: "open-arrival", parallel: 1, latencyPath: latPath, jsonPath: jsonPath}
+	cfg := config{only: "open-arrival", parallel: 1, artifacts: dir, jsonPath: jsonPath}
 	if code := run(cfg, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "open-arrival tail latency") {
 		t.Fatalf("stdout missing the tenant table:\n%s", out.String())
 	}
-	data, err := os.ReadFile(latPath)
+	data, err := os.ReadFile(filepath.Join(dir, "latency.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +184,33 @@ func TestRunOpenArrivalWritesLatencyArtifact(t *testing.T) {
 	}
 	if len(b.Experiments) != 1 || len(b.Experiments[0].Latency) != 6 {
 		t.Fatalf("bench report latency summaries: %+v", b.Experiments)
+	}
+}
+
+// -artifacts DIR creates the directory and writes all four registry
+// artifacts; a path that is a regular file fails the run.
+func TestRunArtifactsDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the slo-controller experiment")
+	}
+	dir := filepath.Join(t.TempDir(), "artifacts")
+	var out, errOut strings.Builder
+	if code := run(config{only: "slo-controller", parallel: 1, artifacts: dir}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	for _, name := range []string{"metrics.jsonl", "profile.jsonl", "latency.jsonl", "controller.jsonl"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "controller.jsonl" && !strings.Contains(string(data), `"type":"controller"`) {
+			t.Fatal("controller artifact has no controller line")
+		}
+	}
+	errOut.Reset()
+	file := filepath.Join(dir, "metrics.jsonl")
+	if code := run(config{only: "abl-network", parallel: 1, artifacts: file}, &out, &errOut); code != 1 || !strings.Contains(errOut.String(), "not a directory") {
+		t.Fatalf("-artifacts at a regular file: exit %d, stderr %q; want 1 and an error", code, errOut.String())
 	}
 }
 

@@ -145,57 +145,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "disk: mean wait %.1fms, mean positioning %.2fms\n", wait*1000, pos*1000)
 	}
 	report(sys, stdout, kinds, spuFilter)
-	if *latencyPath != "" {
-		if err := writeExport(*latencyPath, sys.WriteLatency); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "\nlatency written to %s\n", *latencyPath)
-	}
-	if *controllerPath != "" {
-		if err := writeExport(*controllerPath, sys.WriteController); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "controller decisions written to %s\n", *controllerPath)
-	}
-	if *metricsPath != "" {
-		if err := writeExport(*metricsPath, sys.WriteMetrics); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "\nmetrics written to %s\n", *metricsPath)
-	}
-	if *chromePath != "" {
-		if err := writeExport(*chromePath, sys.WriteChromeTrace); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "chrome trace written to %s (open in Perfetto)\n", *chromePath)
-	}
-	if *profilePath != "" {
-		if err := writeExport(*profilePath, sys.WriteProfile); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "profile written to %s (view with `go tool pprof`)\n", *profilePath)
-	}
-	if *spansPath != "" {
-		if err := writeExport(*spansPath, sys.WriteSpans); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "spans written to %s\n", *spansPath)
+	exports := []export{
+		{*latencyPath, "\nlatency written to ", "", sys.WriteLatency},
+		{*controllerPath, "controller decisions written to ", "", sys.WriteController},
+		{*metricsPath, "\nmetrics written to ", "", sys.WriteMetrics},
+		{*chromePath, "chrome trace written to ", " (open in Perfetto)", sys.WriteChromeTrace},
+		{*profilePath, "profile written to ", " (view with `go tool pprof`)", sys.WriteProfile},
+		{*spansPath, "spans written to ", "", sys.WriteSpans},
 	}
 	if *simobsPath != "" {
 		rep := sys.Kernel().SimObsReport(w.Name)
-		if err := writeExport(*simobsPath, rep.WriteJSONL); err != nil {
+		exports = append(exports, export{*simobsPath, "\n" + rep.String() + "\nsimulator telemetry written to ", "", rep.WriteJSONL})
+	}
+	for _, e := range exports {
+		if e.path == "" {
+			continue
+		}
+		if err := writeExport(e.path, e.write); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "\n%s\nsimulator telemetry written to %s\n", rep, *simobsPath)
+		fmt.Fprintf(stdout, "%s%s%s\n", e.pre, e.path, e.post)
 	}
 	return 0
+}
+
+// export is one file pisosim writes when its flag names a path; pre
+// and post frame the path in the confirmation line.
+type export struct {
+	path, pre, post string
+	write           func(io.Writer) error
 }
 
 // writeExport creates path and streams one of the System export methods

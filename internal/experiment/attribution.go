@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 
@@ -69,11 +68,12 @@ type AttributionSummary struct {
 	// resource. Under PIso an isolated SPU's victim rows are ~0.
 	Theft []TheftRow `json:"theft,omitempty"`
 
-	// spans renders the run's span JSONL for the -profile artifact on
-	// demand — serializing thousands of spans costs more than some whole
-	// runs, so it only happens when the artifact is actually written.
-	// Unexported so bench JSON stays a summary.
-	spans func() string
+	// body writes the run's proc, theft and span lines into
+	// profile.jsonl. It renders on demand — serializing thousands of
+	// spans costs more than some whole runs, so it only happens when the
+	// artifact is actually written. Unexported so bench JSON stays a
+	// summary.
+	body func(io.Writer) error
 }
 
 // summarizeAttribution distills a finished kernel's profiler. ok is
@@ -117,12 +117,20 @@ func summarizeAttribution(k *kernel.Kernel, config string) (AttributionSummary, 
 			Stolen:   int64(t.Stolen),
 		})
 	}
-	s.spans = func() string {
-		var buf bytes.Buffer
-		if err := p.WriteSpans(&buf); err != nil {
-			return ""
+	procs, theft := s.Procs, s.Theft
+	s.body = func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		for _, row := range procs {
+			if err := enc.Encode(attributionProcLine{Type: "proc", AttributionRow: row}); err != nil {
+				return err
+			}
 		}
-		return buf.String()
+		for _, row := range theft {
+			if err := enc.Encode(attributionTheftLine{Type: "theft", TheftRow: row}); err != nil {
+				return err
+			}
+		}
+		return p.WriteSpans(w)
 	}
 	return s, true
 }
@@ -136,8 +144,8 @@ func spuDisplay(names map[int]string, id core.SPUID) string {
 	return profile.SPUName(id)
 }
 
-// attributionHeader introduces one configuration's block in the
-// -profile artifact. Fixed field order keeps the bytes deterministic.
+// attributionHeader introduces one configuration's block in
+// profile.jsonl. Fixed field order keeps the bytes deterministic.
 type attributionHeader struct {
 	Type                   string `json:"type"`
 	Experiment             string `json:"experiment"`
@@ -156,38 +164,13 @@ type attributionTheftLine struct {
 	TheftRow
 }
 
-// ProfileJSONL writes the per-experiment attribution artifact: for every
-// profiled configuration, one "experiment" header line, one "proc" line
-// per finished process, one "theft" line per interference-matrix cell,
-// and then the run's span JSONL (the same lines pisosim -spans writes).
-// Results appear in registry order and every value is integer simulated
-// time, so the artifact is byte-identical at any -parallel level.
-func ProfileJSONL(results []Result, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, r := range results {
-		for _, as := range r.Output.Attribution {
-			if err := enc.Encode(attributionHeader{
-				Type: "experiment", Experiment: r.Spec.ID, Config: as.Config,
-				Tasks: as.Tasks, ConservationViolations: as.ConservationViolations,
-			}); err != nil {
-				return err
-			}
-			for _, p := range as.Procs {
-				if err := enc.Encode(attributionProcLine{Type: "proc", AttributionRow: p}); err != nil {
-					return err
-				}
-			}
-			for _, t := range as.Theft {
-				if err := enc.Encode(attributionTheftLine{Type: "theft", TheftRow: t}); err != nil {
-					return err
-				}
-			}
-			if as.spans != nil {
-				if _, err := io.WriteString(w, as.spans()); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+// block is the summary's section of profile.jsonl: the header, one
+// "proc" line per finished process, one "theft" line per
+// interference-matrix cell, then the span lines (the same lines pisosim
+// -spans writes). Every value is integer simulated time.
+func (s AttributionSummary) block(experiment string) (any, func(io.Writer) error) {
+	return attributionHeader{
+		Type: "experiment", Experiment: experiment, Config: s.Config,
+		Tasks: s.Tasks, ConservationViolations: s.ConservationViolations,
+	}, s.body
 }

@@ -1,48 +1,6 @@
 package experiment
 
-import (
-	"strings"
-	"testing"
-)
-
-// specsByID fetches registered specs, failing the test on a bad ID.
-func specsByID(t *testing.T, ids ...string) []Spec {
-	t.Helper()
-	var specs []Spec
-	for _, id := range ids {
-		s, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("%s not registered", id)
-		}
-		specs = append(specs, s)
-	}
-	return specs
-}
-
-// TestProfileJSONLDeterministicUnderParallelRunAll: the attribution
-// artifact — latency rows, theft rows, and raw span lines — is
-// byte-identical whether the specs run sequentially or interleaved in a
-// worker pool.
-func TestProfileJSONLDeterministicUnderParallelRunAll(t *testing.T) {
-	specs := specsByID(t, "fig5", "tab3", "isolation-under-faults")
-	var seq, par strings.Builder
-	if err := ProfileJSONL(RunAll(specs, 1), &seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := ProfileJSONL(RunAll(specs, 8), &par); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Fatal("attribution artifact changed under parallel RunAll")
-	}
-	if seq.Len() == 0 {
-		t.Fatal("attribution artifact is empty")
-	}
-	if !strings.Contains(seq.String(), `"type":"experiment"`) ||
-		!strings.Contains(seq.String(), `"type":"proc"`) {
-		t.Fatalf("artifact missing header or proc lines:\n%.500s", seq.String())
-	}
-}
+import "testing"
 
 // TestRegistryAttributionConservation is the acceptance gate: every
 // registry experiment runs profiled, and for every finished process in

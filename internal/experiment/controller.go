@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -217,16 +215,16 @@ func (r SLOControllerResult) FrontierTable() *stats.Table {
 }
 
 // ControllerSummary is one configuration's controller activity, with
-// the full decision-log export embedded for the -controller artifact.
+// the full decision-log export bound for controller.jsonl.
 type ControllerSummary struct {
 	// Config names the run within its experiment.
 	Config string `json:"config"`
 	// Stats are the controller's activity totals.
 	Stats control.Stats `json:"stats"`
 
-	// jsonl holds the run's full controller export (config header plus
+	// body writes the run's full controller export (config header plus
 	// one line per decision); unexported so bench JSON stays a summary.
-	jsonl string
+	body func(io.Writer) error
 }
 
 // summarizeController distills a finished kernel's controller. ok is
@@ -237,39 +235,21 @@ func summarizeController(k *kernel.Kernel, config string) (ControllerSummary, bo
 		return ControllerSummary{}, false
 	}
 	s := ControllerSummary{Config: config, Stats: c.Stat}
-	var buf bytes.Buffer
-	if err := k.WriteController(&buf); err == nil {
-		s.jsonl = buf.String()
-	}
+	s.body = func(w io.Writer) error { return control.WriteJSONL(w, c) }
 	return s, true
 }
 
-// controllerHeader introduces one configuration's block in the
-// -controller artifact.
+// controllerHeader introduces one configuration's block in
+// controller.jsonl.
 type controllerHeader struct {
 	Type       string `json:"type"`
 	Experiment string `json:"experiment"`
 	Config     string `json:"config"`
 }
 
-// ControllerJSONL writes the per-experiment controller artifact: for
-// every configuration that ran with the closed loop on, one
-// "experiment" header line followed by that run's full decision-log
-// export (the same lines pisosim -controller writes). Deterministic at
-// any -parallel level and on either event-queue implementation.
-func ControllerJSONL(results []Result, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, r := range results {
-		for _, cs := range r.Output.Controller {
-			if err := enc.Encode(controllerHeader{
-				Type: "experiment", Experiment: r.Spec.ID, Config: cs.Config,
-			}); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, cs.jsonl); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// block is the summary's section of controller.jsonl: the header, then
+// the run's decision-log export (the same lines pisosim -controller
+// writes).
+func (s ControllerSummary) block(experiment string) (any, func(io.Writer) error) {
+	return controllerHeader{Type: "experiment", Experiment: experiment, Config: s.Config}, s.body
 }

@@ -1,13 +1,6 @@
 package experiment
 
-import (
-	"bytes"
-	"encoding/json"
-	"strings"
-	"testing"
-
-	"perfiso/internal/sim"
-)
+import "testing"
 
 // TestSLOControllerSeparation is the acceptance gate for the closed
 // loop: under the same diurnal load shift composed with disk-slow and
@@ -55,77 +48,5 @@ func TestSLOControllerSeparation(t *testing.T) {
 		if c := r.Config(cfg); c.Util <= 0 {
 			t.Errorf("%s reports zero utilization", cfg)
 		}
-	}
-}
-
-// The controller artifact joins the determinism contract: byte-
-// identical at any -parallel level, valid JSONL, one experiment header
-// per configuration that ran with the loop on, and the decision lines
-// inside carry sim-time stamps only.
-func TestControllerArtifactDeterministicAcrossParallel(t *testing.T) {
-	s, ok := Lookup("slo-controller")
-	if !ok {
-		t.Fatal("missing spec slo-controller")
-	}
-	specs := []Spec{s}
-	render := func(parallel int) string {
-		var buf bytes.Buffer
-		if err := ControllerJSONL(RunAll(specs, parallel), &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		t.Fatalf("controller artifact differs between -parallel 1 and 8:\n--- seq ---\n%.600s\n--- par ---\n%.600s", seq, par)
-	}
-	var headers int
-	types := make(map[string]int)
-	for _, line := range strings.Split(strings.TrimSpace(seq), "\n") {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("artifact line is not JSON: %s", line)
-		}
-		kind, _ := obj["type"].(string)
-		types[kind]++
-		if kind == "experiment" {
-			headers++
-		}
-	}
-	// Only the adaptive configuration runs the loop.
-	if headers != 1 {
-		t.Fatalf("artifact has %d experiment headers, want 1", headers)
-	}
-	for _, kind := range []string{"controller", "control"} {
-		if types[kind] == 0 {
-			t.Fatalf("artifact has no %q lines; types seen: %v", kind, types)
-		}
-	}
-	if strings.Contains(seq, "wall") {
-		t.Fatal("controller artifact mentions wall time")
-	}
-}
-
-// The artifact is also byte-identical across event-queue
-// implementations — the control loop reads simulated time only.
-func TestControllerArtifactDeterministicAcrossQueues(t *testing.T) {
-	s, ok := Lookup("slo-controller")
-	if !ok {
-		t.Fatal("missing spec slo-controller")
-	}
-	render := func(kind sim.QueueKind) string {
-		old := sim.SetDefaultQueue(kind)
-		defer sim.SetDefaultQueue(old)
-		var buf bytes.Buffer
-		if err := ControllerJSONL(RunAll([]Spec{s}, 1), &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	cal := render(sim.QueueCalendar)
-	heap := render(sim.QueueHeap)
-	if cal != heap {
-		t.Fatalf("controller artifact differs between calendar and heap queues:\n--- calendar ---\n%.600s\n--- heap ---\n%.600s", cal, heap)
 	}
 }

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 
 	"perfiso/internal/kernel"
@@ -41,10 +39,10 @@ type LatencySummary struct {
 	// Tenants is one entry per latency stream, registration order.
 	Tenants []TenantLatency `json:"tenants"`
 
-	// jsonl holds the run's full latency export (summary, SLO, and
-	// window timeline lines) for the -latency artifact; unexported so
-	// bench JSON stays a summary.
-	jsonl string
+	// body writes the run's full latency export (summary, SLO, and
+	// window timeline lines) into latency.jsonl; unexported so bench
+	// JSON stays a summary.
+	body func(io.Writer) error
 }
 
 // Tenant returns the named tenant's profile, or nil.
@@ -86,15 +84,12 @@ func summarizeLatency(k *kernel.Kernel, config string) (LatencySummary, bool) {
 		}
 		s.Tenants = append(s.Tenants, tl)
 	}
-	var buf bytes.Buffer
-	if err := reg.WriteJSONL(&buf); err == nil {
-		s.jsonl = buf.String()
-	}
+	s.body = reg.WriteJSONL
 	return s, true
 }
 
-// latencyHeader introduces one configuration's block in the -latency
-// artifact. Fixed field order keeps the bytes deterministic.
+// latencyHeader introduces one configuration's block in latency.jsonl.
+// Fixed field order keeps the bytes deterministic.
 type latencyHeader struct {
 	Type       string `json:"type"`
 	Experiment string `json:"experiment"`
@@ -102,27 +97,11 @@ type latencyHeader struct {
 	Tenants    int    `json:"tenants"`
 }
 
-// LatencyJSONL writes the per-experiment latency artifact: for every
-// configuration that ran with latency tracking on, one "experiment"
-// header line followed by that run's full latency export (the same
-// lines pisosim -latency writes). Results appear in registry order and
-// every duration is integer simulated nanoseconds, so the artifact is
-// byte-identical at any -parallel level and on either event-queue
-// implementation.
-func LatencyJSONL(results []Result, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, r := range results {
-		for _, ls := range r.Output.Latency {
-			if err := enc.Encode(latencyHeader{
-				Type: "experiment", Experiment: r.Spec.ID, Config: ls.Config,
-				Tenants: len(ls.Tenants),
-			}); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, ls.jsonl); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// block is the summary's section of latency.jsonl: the header, then the
+// run's latency export (the same lines pisosim -latency writes).
+func (s LatencySummary) block(experiment string) (any, func(io.Writer) error) {
+	return latencyHeader{
+		Type: "experiment", Experiment: experiment, Config: s.Config,
+		Tenants: len(s.Tenants),
+	}, s.body
 }

@@ -5,9 +5,10 @@ import (
 	"perfiso/internal/sim"
 )
 
-// Meter records how much raw simulation work a runner performed. Result
-// types embed it so the benchmark harness can report throughput
-// (events/sec) per experiment without reaching into kernels.
+// Meter records how much raw simulation work a runner performed and
+// what its observers saw. Result types and Output embed it, so the
+// benchmark harness reports throughput (events/sec) and writes the
+// artifacts per experiment without reaching into kernels.
 type Meter struct {
 	// Events is the number of simulation events dispatched, summed over
 	// every engine the runner booted.

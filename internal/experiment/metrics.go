@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"math"
 
@@ -38,9 +36,9 @@ type MetricSummary struct {
 	// CPUShare is each user SPU's fraction of the total user CPU time.
 	CPUShare map[string]float64 `json:"cpu_share"`
 
-	// jsonl holds the run's full registry export for the -metrics
-	// artifact; unexported so bench JSON stays a summary.
-	jsonl string
+	// body writes the run's full registry export into metrics.jsonl;
+	// unexported so bench JSON stays a summary.
+	body func(io.Writer) error
 }
 
 // summarizeMetrics distills a finished kernel's registry. ok is false
@@ -101,15 +99,13 @@ func summarizeMetrics(k *kernel.Kernel, config string) (MetricSummary, bool) {
 			s.CPUShare[u.Name()] = sec / total
 		}
 	}
-	var buf bytes.Buffer
-	if err := reg.WriteJSONL(&buf, k.MetricNames()); err == nil {
-		s.jsonl = buf.String()
-	}
+	names := k.MetricNames()
+	s.body = func(w io.Writer) error { return reg.WriteJSONL(w, names) }
 	return s, true
 }
 
-// metricsHeader introduces one configuration's block in the -metrics
-// artifact. Fixed field order keeps the bytes deterministic.
+// metricsHeader introduces one configuration's block in metrics.jsonl.
+// Fixed field order keeps the bytes deterministic.
 type metricsHeader struct {
 	Type            string             `json:"type"`
 	Experiment      string             `json:"experiment"`
@@ -120,29 +116,15 @@ type metricsHeader struct {
 	CPUShare        map[string]float64 `json:"cpu_share"`
 }
 
-// MetricsJSONL writes the per-experiment metrics artifact: for every
-// instrumented configuration, one "experiment" header line carrying the
-// summary, followed by that run's full registry export (the same lines
-// pisosim -metrics writes). Results appear in registry order and no
-// wall-clock value is included, so the artifact is byte-identical at
-// any -parallel level.
-func MetricsJSONL(results []Result, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, r := range results {
-		for _, ms := range r.Output.Metrics {
-			if err := enc.Encode(metricsHeader{
-				Type: "experiment", Experiment: r.Spec.ID, Config: ms.Config,
-				Loans: ms.Loans, Revocations: ms.Revocations,
-				RevocationP99Ms: ms.RevocationP99Ms, CPUShare: ms.CPUShare,
-			}); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, ms.jsonl); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// block is the summary's section of metrics.jsonl: the header carrying
+// the summary, then the registry export (the lines pisosim -metrics
+// writes).
+func (s MetricSummary) block(experiment string) (any, func(io.Writer) error) {
+	return metricsHeader{
+		Type: "experiment", Experiment: experiment, Config: s.Config,
+		Loans: s.Loans, Revocations: s.Revocations,
+		RevocationP99Ms: s.RevocationP99Ms, CPUShare: s.CPUShare,
+	}, s.body
 }
 
 // observe folds a finished kernel's dispatch total into the meter and,

@@ -27,27 +27,12 @@ type Section struct {
 	Bars  *BarChart
 }
 
-// Output is everything one experiment run produced.
+// Output is everything one experiment run produced: its printable
+// sections plus the runner's Meter (event count and the per-kernel
+// summaries the bench report and the artifact files are built from).
 type Output struct {
 	Sections []Section
-	// Events is the total number of simulation events the experiment
-	// dispatched, for events/sec reporting.
-	Events uint64
-	// Metrics holds per-configuration observability summaries for the
-	// experiments that run with the metrics registry on.
-	Metrics []MetricSummary
-	// Attribution holds per-configuration profiler summaries (latency
-	// breakdown per process, cross-SPU interference matrix) for the
-	// experiments that run with the profiler on.
-	Attribution []AttributionSummary
-	// Latency holds per-configuration tail-latency summaries (per-tenant
-	// percentiles and SLO attainment) for the experiments that run with
-	// latency tracking on.
-	Latency []LatencySummary
-	// Controller holds per-configuration SLO-controller summaries
-	// (retune/shed/breaker totals plus the decision log) for the
-	// experiments that run with the closed loop on.
-	Controller []ControllerSummary
+	Meter
 }
 
 // Rows flattens every section table into machine-readable headline rows
@@ -111,35 +96,35 @@ func Registry() []Spec {
 					fig3.Bars.Labels = append(fig3.Bars.Labels, r.Scheme.String())
 					fig3.Bars.Values = append(fig3.Bars.Values, r.Heavy)
 				}
-				return Output{Sections: []Section{fig2, fig3}, Events: p.Events, Attribution: p.Attribution}
+				return Output{Sections: []Section{fig2, fig3}, Meter: p.Meter}
 			},
 		},
 		{
 			ID: "fig5", Title: "CPU isolation (Figure 5)",
 			Run: func() Output {
 				r := RunCPUIso(CPUIsoOptions{})
-				return Output{Sections: []Section{{ID: "fig5", Table: r.Table()}}, Events: r.Events, Metrics: r.Metrics, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "fig5", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "fig7", Title: "Memory isolation (Figure 7)",
 			Run: func() Output {
 				r := RunMemIso(MemIsoOptions{})
-				return Output{Sections: []Section{{ID: "fig7", Table: r.Table()}}, Events: r.Events, Metrics: r.Metrics, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "fig7", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "tab3", Title: "Disk isolation, pmake-copy (Table 3)",
 			Run: func() Output {
 				r := RunTable3(DiskOptions{})
-				return Output{Sections: []Section{{ID: "tab3", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "tab3", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "tab4", Title: "Disk head position vs fairness (Table 4)",
 			Run: func() Output {
 				r := RunTable4(DiskOptions{})
-				return Output{Sections: []Section{{ID: "tab4", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "tab4", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
@@ -152,35 +137,35 @@ func Registry() []Spec {
 					s.Bars.Labels = append(s.Bars.Labels, row.Scheme.String()+" V", row.Scheme.String()+" S")
 					s.Bars.Values = append(s.Bars.Values, row.Victim, row.Steady)
 				}
-				return Output{Sections: []Section{s}, Events: r.Events, Metrics: r.Metrics, Attribution: r.Attribution}
+				return Output{Sections: []Section{s}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "abl-bwthreshold", Title: "Ablation: BW-difference threshold sweep", Ablation: true,
 			Run: func() Output {
 				r := RunAblationBWThreshold(nil)
-				return Output{Sections: []Section{{ID: "abl-bwthreshold", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "abl-bwthreshold", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "abl-reserve", Title: "Ablation: memory Reserve Threshold sweep", Ablation: true,
 			Run: func() Output {
 				r := RunAblationReserve(nil)
-				return Output{Sections: []Section{{ID: "abl-reserve", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "abl-reserve", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "abl-inodelock", Title: "Ablation: inode-lock granularity", Ablation: true,
 			Run: func() Output {
 				r := RunAblationInodeLock()
-				return Output{Sections: []Section{{ID: "abl-inodelock", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "abl-inodelock", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "abl-pageinsert", Title: "Ablation: page-insert-lock granularity", Ablation: true,
 			Run: func() Output {
 				r := RunAblationPageInsert()
-				return Output{Sections: []Section{{ID: "abl-pageinsert", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "abl-pageinsert", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
@@ -188,42 +173,42 @@ func Registry() []Spec {
 			Title: "Lock-sharing erosion of performance isolation", Ablation: true,
 			Run: func() Output {
 				r := RunLockLeak()
-				return Output{Sections: []Section{{ID: "lock-leak", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "lock-leak", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "abl-revocation", Title: "Ablation: CPU revocation latency", Ablation: true,
 			Run: func() Output {
 				r := RunAblationRevocation()
-				return Output{Sections: []Section{{ID: "abl-revocation", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "abl-revocation", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "abl-affinity", Title: "Ablation: cache pollution and loan limiting", Ablation: true,
 			Run: func() Output {
 				r := RunAblationAffinity()
-				return Output{Sections: []Section{{ID: "abl-affinity", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "abl-affinity", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "abl-gang", Title: "Ablation: gang scheduling", Ablation: true,
 			Run: func() Output {
 				r := RunAblationGang()
-				return Output{Sections: []Section{{ID: "abl-gang", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "abl-gang", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "abl-network", Title: "Ablation: network bandwidth isolation", Ablation: true,
 			Run: func() Output {
 				r := RunAblationNetwork()
-				return Output{Sections: []Section{{ID: "abl-network", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "abl-network", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "server-latency", Title: "Extension: interactive response-time isolation", Ablation: true,
 			Run: func() Output {
 				r := RunServerLatency()
-				return Output{Sections: []Section{{ID: "server-latency", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
+				return Output{Sections: []Section{{ID: "server-latency", Table: r.Table()}}, Meter: r.Meter}
 			},
 		},
 		{
@@ -236,9 +221,7 @@ func Registry() []Spec {
 						{ID: "slo-controller", Table: r.Table()},
 						{ID: "slo-frontier", Table: r.FrontierTable()},
 					},
-					Events: r.Events, Metrics: r.Metrics,
-					Attribution: r.Attribution, Latency: r.Latency,
-					Controller: r.Controller,
+					Meter: r.Meter,
 				}
 			},
 		},
@@ -252,8 +235,7 @@ func Registry() []Spec {
 						{ID: "open-arrival", Table: r.Table()},
 						{ID: "open-arrival-breakdown", Table: r.BreakdownTable()},
 					},
-					Events: r.Events, Metrics: r.Metrics,
-					Attribution: r.Attribution, Latency: r.Latency,
+					Meter: r.Meter,
 				}
 			},
 		},

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit used by the kernel
 // model and the experiment harness: scalar sample accumulators,
-// time-weighted value trackers (for utilization), fixed-width histograms,
-// and a plain-text table renderer for paper-style output.
+// time-weighted value trackers (for utilization), and a plain-text table
+// renderer for paper-style output.
 package stats
 
 import (
@@ -179,75 +179,6 @@ func (w *TimeWeighted) Area(now sim.Time) float64 {
 		area += w.value * dt.Seconds()
 	}
 	return area
-}
-
-// Histogram is a fixed-width bucket histogram with overflow and underflow
-// buckets, used for distributions such as per-request disk wait times.
-type Histogram struct {
-	lo, width float64
-	buckets   []int64
-	under     int64
-	over      int64
-	sample    Sample
-}
-
-// NewHistogram creates a histogram covering [lo, lo+n*width) in n buckets.
-func NewHistogram(lo, width float64, n int) *Histogram {
-	if width <= 0 || n <= 0 {
-		panic("stats: NewHistogram with non-positive width or bucket count")
-	}
-	return &Histogram{lo: lo, width: width, buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.sample.Add(v)
-	idx := int(math.Floor((v - h.lo) / h.width))
-	switch {
-	case idx < 0:
-		h.under++
-	case idx >= len(h.buckets):
-		h.over++
-	default:
-		h.buckets[idx]++
-	}
-}
-
-// N returns the total number of observations.
-func (h *Histogram) N() int64 { return h.sample.N() }
-
-// Mean returns the mean of all observations (exact, not bucketed).
-func (h *Histogram) Mean() float64 { return h.sample.Mean() }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the number of regular buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Quantile returns an approximation of the q-quantile (0 <= q <= 1) from
-// the bucket boundaries; exact values for under/overflowed data degrade to
-// the range edges.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.sample.N()
-	if n == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(n)))
-	if target < 1 {
-		target = 1
-	}
-	cum := h.under
-	if cum >= target {
-		return h.lo
-	}
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return h.lo + float64(i+1)*h.width
-		}
-	}
-	return h.lo + float64(len(h.buckets))*h.width
 }
 
 // Point is one (x, y) pair in a Series.

@@ -192,54 +192,6 @@ func TestTimeWeightedNoElapsed(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // [0,50) in 5 buckets
-	for _, v := range []float64{-1, 0, 5, 15, 49.9, 50, 1000} {
-		h.Add(v)
-	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if h.Bucket(0) != 2 { // 0 and 5
-		t.Fatalf("bucket 0 = %d", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 { // 15
-		t.Fatalf("bucket 1 = %d", h.Bucket(1))
-	}
-	if h.Bucket(4) != 1 { // 49.9
-		t.Fatalf("bucket 4 = %d", h.Bucket(4))
-	}
-	if h.under != 1 || h.over != 2 {
-		t.Fatalf("under/over = %d/%d", h.under, h.over)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 1, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if q := h.Quantile(0.5); math.Abs(q-50) > 1.5 {
-		t.Fatalf("median = %g, want ~50", q)
-	}
-	if q := h.Quantile(1.0); math.Abs(q-100) > 1.5 {
-		t.Fatalf("p100 = %g, want ~100", q)
-	}
-	empty := NewHistogram(0, 1, 4)
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(0, 0, 5)
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Add(3, 30)
