@@ -39,8 +39,8 @@ func (m *Manager) auditIsolation() error {
 			continue
 		}
 		pinned := 0
-		if i := int(s.ID()); i < len(m.pinnedN) {
-			pinned = m.pinnedN[i]
+		if i := int(s.ID()); i < len(m.bySPU) {
+			pinned = m.bySPU[i].pinned
 		}
 		slack := float64(m.inFlight + pinned)
 		if over := s.Used(core.Memory) - s.Allowed(core.Memory) - slack; over > 0.5 {
@@ -56,7 +56,7 @@ func (m *Manager) auditIsolation() error {
 func (m *Manager) Snapshot(enc *snap.Encoder) {
 	enc.Section("mem")
 	enc.Int("total", int64(m.total))
-	enc.Int("in_use", int64(len(m.pages)))
+	enc.Int("in_use", int64(m.linked))
 	enc.Int("in_flight", int64(m.inFlight))
 	enc.Int("waiters", int64(len(m.waiters)))
 	enc.Int("allocations", m.Stat.Allocations)
@@ -68,13 +68,18 @@ func (m *Manager) Snapshot(enc *snap.Encoder) {
 	owned := make(map[int]int64)
 	dirty := make(map[int]int64)
 	pinned := make(map[int]int64)
-	for _, p := range m.pages {
-		owned[int(p.SPU)]++
-		if p.dirty {
-			dirty[int(p.SPU)]++
+	for id := range m.bySPU {
+		s := &m.bySPU[id]
+		if len(s.list) > 0 {
+			owned[id] = int64(len(s.list))
 		}
-		if p.pinned {
-			pinned[int(p.SPU)]++
+		if s.pinned > 0 {
+			pinned[id] = int64(s.pinned)
+		}
+		for _, p := range s.list {
+			if p.dirty {
+				dirty[id]++
+			}
 		}
 	}
 	enc.SortedInts("owned_spu", owned)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"perfiso/internal/core"
+	"perfiso/internal/sim"
 )
 
 func TestKindString(t *testing.T) {
@@ -114,5 +115,68 @@ func TestHasLoansIgnoresShareNone(t *testing.T) {
 	us[0].SetAllowed(core.Memory, 20)
 	if m.hasLoans() {
 		t.Fatal("ShareNone SPU counted as borrower")
+	}
+}
+
+// TestAuditCatchesCorruptLRU plants one LRU-index corruption at a time in
+// a healthy manager and requires the deep Audit to name each; the ones
+// that change a heap's size must also trip the O(#SPUs) fast audit.
+func TestAuditCatchesCorruptLRU(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(m *Manager, s *spuPages)
+		want    string
+		fast    bool // auditFast must catch it too
+	}{
+		{"key after last use", func(m *Manager, s *spuPages) {
+			s.clean[0].key = s.clean[0].lastUse + 1
+		}, "after its last use", false},
+		{"heap order", func(m *Manager, s *spuPages) {
+			h, last := s.clean, len(s.clean)-1
+			h[0], h[last] = h[last], h[0]
+			h[0].hidx, h[last].hidx = 0, last
+		}, "heap order broken", false},
+		{"stale hidx", func(m *Manager, s *spuPages) {
+			s.clean[3].hidx = 4
+		}, "is not in its LRU heap", false},
+		{"pinned page left indexed", func(m *Manager, s *spuPages) {
+			s.clean[2].pinned = true
+			s.pinned++
+		}, "pinned=true", true},
+		{"dirty flag flipped in place", func(m *Manager, s *spuPages) {
+			s.clean[1].dirty = true
+		}, "is not in its LRU heap", false},
+		{"page dropped from its heap", func(m *Manager, s *spuPages) {
+			s.dirty.remove(s.dirty[0])
+		}, "is not in its LRU heap", true},
+		{"unlinked page in a heap", func(m *Manager, s *spuPages) {
+			s.clean.push(&Page{SPU: s.clean[0].SPU, spuIdx: -1})
+		}, "not in its list", true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng, _, m, us := rig(2, core.ShareIdle, 100)
+			id := us[0].ID()
+			for i := 0; i < 20; i++ {
+				p := m.Allocate(id, Anon, nil)
+				m.SetDirty(p, i%4 == 0)
+				m.SetPinned(p, i%7 == 0)
+				if i%2 == 0 {
+					eng.RunUntil(eng.Now() + sim.Millisecond)
+					m.Touch(p, id)
+				}
+			}
+			if err := m.Audit(); err != nil {
+				t.Fatalf("healthy manager: %v", err)
+			}
+			c.corrupt(m, &m.bySPU[id])
+			err := m.Audit()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Audit = %v, want an error containing %q", err, c.want)
+			}
+			if c.fast && m.AuditInvariants() == nil {
+				t.Fatal("AuditInvariants missed a heap-size change")
+			}
+		})
 	}
 }

@@ -73,22 +73,26 @@ type Owner interface {
 
 // Page is one physical page frame in use.
 type Page struct {
-	SPU     core.SPUID
-	Kind    Kind
-	LastUse sim.Time
-	Owner   Owner
+	SPU   core.SPUID
+	Kind  Kind
+	Owner Owner
 
-	dirty    bool
-	pinned   bool // never evicted while pinned (e.g. in-flight disk IO)
-	evicting bool
-	seq      uint64 // allocation sequence; LRU tie-break after LastUse
-	index    int    // position in Manager.pages, -1 when free
-	spuIdx   int    // position in the owning SPU's page list
+	lastUse sim.Time
+	key     sim.Time // lastUse snapshot ordering the LRU heap; key <= lastUse
+	seq     uint64   // allocation sequence; LRU tie-break after lastUse
+	spuIdx  int      // position in the owning SPU's page list, -1 when not linked
+	hidx    int      // position in the SPU's clean or dirty LRU heap
+	dirty   bool
+	pinned  bool // never evicted while pinned (e.g. in-flight disk IO)
 }
 
+// LastUse returns the time of the page's most recent use. Only Touch
+// raises it: the LRU heaps rely on it never falling.
+func (p *Page) LastUse() sim.Time { return p.lastUse }
+
 // Dirty reports whether the page needs write-back before reuse. The flag
-// is set through Manager.MarkDirty / SetDirty so the manager's per-SPU
-// dirty counters stay exact.
+// is set through Manager.MarkDirty / SetDirty so the page stays in the
+// right LRU heap.
 func (p *Page) Dirty() bool { return p.dirty }
 
 // Pinned reports whether the page is exempt from eviction (e.g. its
@@ -123,6 +127,27 @@ type Stats struct {
 	WaitQueueLen   stats.TimeWeighted
 }
 
+// spuPages is one SPU's share of the frames in use. Every linked page is
+// in list; the unpinned ones are also in exactly one LRU heap, the one
+// matching their dirty flag, so reclaim finds the SPU's clean and dirty
+// LRU pages without a scan.
+type spuPages struct {
+	list     []*Page // unordered; Page.spuIdx is the position
+	clean    lruHeap
+	dirty    lruHeap
+	pinned   int  // pinned pages in list
+	pressure bool // hit its limit since the last policy tick
+}
+
+// lru returns the heap an unpinned page with the given dirty flag
+// belongs in.
+func (s *spuPages) lru(dirty bool) *lruHeap {
+	if dirty {
+		return &s.dirty
+	}
+	return &s.clean
+}
+
 // Manager is the physical memory manager for one machine.
 type Manager struct {
 	eng   *sim.Engine
@@ -132,14 +157,11 @@ type Manager struct {
 	reserve float64 // fraction of total kept free (Reserve Threshold)
 	pageout PageoutFunc
 
-	pages    []*Page   // frames currently in use
-	bySPU    [][]*Page // the same frames partitioned by owning SPU
-	pinnedN  []int     // per-SPU pinned-page counts (index = SPUID)
-	dirtyN   []int     // per-SPU dirty-page counts
-	pseq     uint64    // allocation sequence for LRU tie-breaking
-	inFlight int       // frames being evicted (still counted as used)
+	bySPU    []spuPages // frames in use, partitioned by owning SPU (index = SPUID)
+	linked   int        // frames in use across bySPU
+	pseq     uint64     // allocation sequence for LRU tie-breaking
+	inFlight int        // frames being evicted (still counted as used)
 	waiters  []waiter
-	pressure []bool // SPUs that hit their limit since last policy tick (index = SPUID)
 
 	// prevAllowed is redivide's per-tick scratch, reused so the policy
 	// tick stays allocation-free.
@@ -200,7 +222,7 @@ func (m *Manager) TotalPages() int { return m.total }
 
 // UsedPages returns the number of frames in use (including frames whose
 // eviction write-back is still in flight).
-func (m *Manager) UsedPages() int { return len(m.pages) + m.inFlight }
+func (m *Manager) UsedPages() int { return m.linked + m.inFlight }
 
 // FreePages returns the number of frames immediately available.
 func (m *Manager) FreePages() int { return m.total - m.UsedPages() }
@@ -261,15 +283,14 @@ func (m *Manager) Allocate(spu core.SPUID, kind Kind, owner Owner) *Page {
 	if m.FreePages() <= 0 || !s.CanUse(core.Memory, 1) {
 		m.Stat.Denials++
 		if spu.IsUser() {
-			m.pressure[m.slot(spu)] = true
+			m.bySPU[m.slot(spu)].pressure = true
 		}
 		m.kickReclaim()
 		return nil
 	}
-	p := &Page{SPU: s.ID(), Kind: kind, LastUse: m.eng.Now(), Owner: owner, seq: m.pseq, index: len(m.pages)}
+	p := &Page{SPU: s.ID(), Kind: kind, Owner: owner, lastUse: m.eng.Now(), seq: m.pseq}
 	m.pseq++
-	m.pages = append(m.pages, p)
-	m.linkSPU(p)
+	m.link(p)
 	s.Charge(core.Memory, 1)
 	m.Stat.Allocations++
 	m.Stat.FreePages.Set(m.eng.Now(), float64(m.FreePages()))
@@ -297,7 +318,7 @@ func (m *Manager) Request(spu core.SPUID, kind Kind, owner Owner, fn func(*Page)
 // freeing one page can wake waiters whose allocations trigger reclaim,
 // which may concurrently take other pages of the same exiting process.
 func (m *Manager) Release(p *Page) {
-	if p.index < 0 {
+	if p.spuIdx < 0 {
 		return
 	}
 	m.Free(p)
@@ -305,7 +326,7 @@ func (m *Manager) Release(p *Page) {
 
 // Free releases a frame back to the pool.
 func (m *Manager) Free(p *Page) {
-	if p.index < 0 {
+	if p.spuIdx < 0 {
 		panic("mem: double free")
 	}
 	m.FrameLock.Acquire(p.SPU)
@@ -315,60 +336,45 @@ func (m *Manager) Free(p *Page) {
 	m.serveWaiters()
 }
 
-// unlink removes the page from the in-use list and its SPU's list.
-func (m *Manager) unlink(p *Page) {
-	last := len(m.pages) - 1
-	i := p.index
-	m.pages[i] = m.pages[last]
-	m.pages[i].index = i
-	m.pages = m.pages[:last]
-	p.index = -1
-	m.unlinkSPU(p)
-}
-
-// slot returns the per-SPU array index for the SPU, growing the arrays
+// slot returns the per-SPU array index for the SPU, growing the array
 // on first sight of a new id.
 func (m *Manager) slot(id core.SPUID) int {
 	i := int(id)
 	for len(m.bySPU) <= i {
-		m.bySPU = append(m.bySPU, nil)
-		m.pinnedN = append(m.pinnedN, 0)
-		m.dirtyN = append(m.dirtyN, 0)
-		m.pressure = append(m.pressure, false)
+		m.bySPU = append(m.bySPU, spuPages{})
 	}
 	return i
 }
 
-// linkSPU adds the page to its SPU's list, keeping the incremental
-// per-SPU counters exact. The counters (and the lists) cover linked
-// pages only: a frame mid-eviction is unlinked and tracked by inFlight.
-func (m *Manager) linkSPU(p *Page) {
-	i := m.slot(p.SPU)
-	p.spuIdx = len(m.bySPU[i])
-	m.bySPU[i] = append(m.bySPU[i], p)
-	if p.dirty {
-		m.dirtyN[i]++
-	}
+// link adds the page to its SPU's list and, unless pinned, to the LRU
+// heap matching its dirty flag. Only linked pages are listed and
+// counted: a frame mid-eviction is unlinked and tracked by inFlight.
+func (m *Manager) link(p *Page) {
+	s := &m.bySPU[m.slot(p.SPU)]
+	p.spuIdx = len(s.list)
+	s.list = append(s.list, p)
+	m.linked++
 	if p.pinned {
-		m.pinnedN[i]++
+		s.pinned++
 	}
+	m.index(p)
 }
 
-// unlinkSPU removes the page from its SPU's list (swap-remove).
-func (m *Manager) unlinkSPU(p *Page) {
-	i := m.slot(p.SPU)
-	l := m.bySPU[i]
+// unlink removes the page from its LRU heap and its SPU's list
+// (swap-remove).
+func (m *Manager) unlink(p *Page) {
+	m.unindex(p)
+	s := &m.bySPU[p.SPU]
+	l := s.list
 	last := len(l) - 1
 	l[p.spuIdx] = l[last]
 	l[p.spuIdx].spuIdx = p.spuIdx
 	l[last] = nil
-	m.bySPU[i] = l[:last]
+	s.list = l[:last]
 	p.spuIdx = -1
-	if p.dirty {
-		m.dirtyN[i]--
-	}
+	m.linked--
 	if p.pinned {
-		m.pinnedN[i]--
+		s.pinned--
 	}
 }
 
@@ -376,50 +382,61 @@ func (m *Manager) unlinkSPU(p *Page) {
 // A user page touched by a second user SPU is re-tagged to the shared
 // SPU, so its cost is borne by everyone (§3.2).
 func (m *Manager) Touch(p *Page, by core.SPUID) {
-	p.LastUse = m.eng.Now()
-	if p.index < 0 || !by.IsUser() || !p.SPU.IsUser() || p.SPU == by {
+	p.lastUse = m.eng.Now()
+	if p.spuIdx < 0 || !by.IsUser() || !p.SPU.IsUser() || p.SPU == by {
 		return
 	}
 	m.spus.Get(p.SPU).Charge(core.Memory, -1)
 	m.spus.Shared().Charge(core.Memory, 1)
-	m.unlinkSPU(p)
+	m.unlink(p)
 	p.SPU = core.SharedID
-	m.linkSPU(p)
+	m.link(p)
 	m.Stat.Retags++
 }
 
 // MarkDirty flags the page as needing write-back before reuse.
 func (m *Manager) MarkDirty(p *Page) { m.SetDirty(p, true) }
 
-// SetDirty sets or clears the page's dirty flag, keeping the per-SPU
-// dirty counters exact.
+// SetDirty sets or clears the page's dirty flag, moving an indexed page
+// between its SPU's clean and dirty LRU heaps.
 func (m *Manager) SetDirty(p *Page, v bool) {
 	if p.dirty == v {
 		return
 	}
+	m.unindex(p)
 	p.dirty = v
-	if p.index >= 0 {
-		if v {
-			m.dirtyN[m.slot(p.SPU)]++
-		} else {
-			m.dirtyN[m.slot(p.SPU)]--
-		}
-	}
+	m.index(p)
 }
 
 // SetPinned pins or unpins the page. A pinned page is never evicted —
-// in-flight disk IO targets its frame.
+// in-flight disk IO targets its frame — so it leaves the LRU heaps.
 func (m *Manager) SetPinned(p *Page, v bool) {
 	if p.pinned == v {
 		return
 	}
-	p.pinned = v
-	if p.index >= 0 {
+	if p.spuIdx >= 0 {
 		if v {
-			m.pinnedN[m.slot(p.SPU)]++
+			m.bySPU[p.SPU].pinned++
 		} else {
-			m.pinnedN[m.slot(p.SPU)]--
+			m.bySPU[p.SPU].pinned--
 		}
+	}
+	m.unindex(p)
+	p.pinned = v
+	m.index(p)
+}
+
+// index adds a linked, unpinned page to the LRU heap its dirty flag
+// selects; unindex removes it. Both ignore every other page.
+func (m *Manager) index(p *Page) {
+	if p.spuIdx >= 0 && !p.pinned {
+		m.bySPU[p.SPU].lru(p.dirty).push(p)
+	}
+}
+
+func (m *Manager) unindex(p *Page) {
+	if p.spuIdx >= 0 && !p.pinned {
+		m.bySPU[p.SPU].lru(p.dirty).remove(p)
 	}
 }
 
@@ -457,70 +474,88 @@ func (m *Manager) Waiters() int { return len(m.waiters) }
 // Pressured reports whether the SPU has hit its memory limit since the
 // last policy tick.
 func (m *Manager) Pressured(spu core.SPUID) bool {
-	return int(spu) < len(m.pressure) && m.pressure[spu]
+	return int(spu) < len(m.bySPU) && m.bySPU[spu].pressure
 }
 
 // Audit verifies the manager's internal consistency the slow, exhaustive
-// way: page-list and per-SPU-list linkage, agreement between the scan
-// and the incremental counters the fast path trusts, frame conservation,
-// and charge/ownership agreement. It returns a descriptive error on the
-// first violation. Intended for tests, the stress harness, and the final
-// sweep; it is O(pages). The per-tick sweep uses auditFast.
+// way: per-SPU list linkage, agreement between a scan and the
+// incremental counters the fast path trusts, the LRU heap laws, frame
+// conservation, and charge/ownership agreement. It returns a
+// descriptive error on the first violation. Intended for tests, the
+// stress harness, and the final sweep; it is O(pages). The per-tick
+// sweep uses auditFast.
+//
+// The heap laws: every linked unpinned page sits at its hidx in the heap
+// matching its dirty flag; every heap entry is a linked, unpinned page
+// of that SPU with the matching flag, at its own hidx, keyed no later
+// than its lastUse and no earlier than its parent. With auditFast's size
+// law this makes heap membership exactly the unpinned pages.
 func (m *Manager) Audit() error {
-	for i, p := range m.pages {
-		if p.index != i {
-			return fmt.Errorf("mem audit: page at slot %d has index %d", i, p.index)
-		}
-	}
-	for id, l := range m.bySPU {
-		for i, p := range l {
+	linked := 0
+	for id := range m.bySPU {
+		s := &m.bySPU[id]
+		pinned := 0
+		for i, p := range s.list {
 			if p.spuIdx != i {
 				return fmt.Errorf("mem audit: spu%d page at slot %d has spuIdx %d", id, i, p.spuIdx)
 			}
 			if int(p.SPU) != id {
 				return fmt.Errorf("mem audit: spu%d list holds a page owned by spu%d", id, p.SPU)
 			}
+			if p.pinned {
+				pinned++
+				continue
+			}
+			if h := *s.lru(p.dirty); p.hidx < 0 || p.hidx >= len(h) || h[p.hidx] != p {
+				return fmt.Errorf("mem audit: spu%d unpinned page seq %d (dirty=%v) is not in its LRU heap",
+					id, p.seq, p.dirty)
+			}
+		}
+		linked += len(s.list)
+		if s.pinned != pinned {
+			return fmt.Errorf("mem audit: spu%d pinned counter %d, scan found %d", id, s.pinned, pinned)
+		}
+		for _, dirty := range [2]bool{false, true} {
+			h := *s.lru(dirty)
+			for j, p := range h {
+				switch {
+				case p.hidx != j:
+					return fmt.Errorf("mem audit: spu%d LRU heap slot %d holds a page with hidx %d", id, j, p.hidx)
+				case p.spuIdx < 0 || p.spuIdx >= len(s.list) || s.list[p.spuIdx] != p:
+					return fmt.Errorf("mem audit: spu%d LRU heap holds page seq %d, which is not in its list", id, p.seq)
+				case p.pinned || p.dirty != dirty:
+					return fmt.Errorf("mem audit: spu%d dirty=%v LRU heap holds page seq %d with dirty=%v pinned=%v",
+						id, dirty, p.seq, p.dirty, p.pinned)
+				case p.key > p.lastUse:
+					return fmt.Errorf("mem audit: spu%d page seq %d has LRU key %v after its last use %v",
+						id, p.seq, p.key, p.lastUse)
+				case j > 0 && lruLess(p, h[(j-1)/2]):
+					return fmt.Errorf("mem audit: spu%d LRU heap order broken at slot %d", id, j)
+				}
+			}
 		}
 	}
-	counts := make(map[core.SPUID]int)
-	pinned := make(map[core.SPUID]int)
-	dirty := make(map[core.SPUID]int)
-	listed := 0
-	for _, p := range m.pages {
-		counts[p.SPU]++
-		if p.pinned {
-			pinned[p.SPU]++
-		}
-		if p.dirty {
-			dirty[p.SPU]++
-		}
-	}
-	for id := range m.bySPU {
-		sid := core.SPUID(id)
-		listed += len(m.bySPU[id])
-		if got := len(m.bySPU[id]); got != counts[sid] {
-			return fmt.Errorf("mem audit: spu%d list holds %d pages, scan found %d", id, got, counts[sid])
-		}
-		if m.pinnedN[id] != pinned[sid] {
-			return fmt.Errorf("mem audit: spu%d pinned counter %d, scan found %d", id, m.pinnedN[id], pinned[sid])
-		}
-		if m.dirtyN[id] != dirty[sid] {
-			return fmt.Errorf("mem audit: spu%d dirty counter %d, scan found %d", id, m.dirtyN[id], dirty[sid])
-		}
-	}
-	if listed != len(m.pages) {
-		return fmt.Errorf("mem audit: SPU lists hold %d pages, in-use list %d", listed, len(m.pages))
+	if linked != m.linked {
+		return fmt.Errorf("mem audit: SPU lists hold %d pages, linked count %d", linked, m.linked)
 	}
 	return m.auditFast()
 }
 
-// auditFast checks frame conservation and charge/ownership agreement
-// from the incrementally-maintained per-SPU lists and counters — O(#SPUs),
-// no scan, no allocation. Audit cross-checks those structures against a
-// full scan, so tests and the final sweep would catch counter drift.
+// auditFast checks frame conservation, charge/ownership agreement and
+// the LRU heap sizes from the incrementally-maintained per-SPU lists,
+// heaps and counters — O(#SPUs), no scan, no allocation. Audit
+// cross-checks those structures against a full scan, so tests and the
+// final sweep would catch counter drift.
 func (m *Manager) auditFast() error {
-	if got := len(m.pages) + m.inFlight; got+m.FreePages() != m.total {
+	if got := m.linked + m.inFlight; got+m.FreePages() != m.total {
 		return fmt.Errorf("mem audit: used %d + free %d != total %d", got, m.FreePages(), m.total)
+	}
+	for id := range m.bySPU {
+		s := &m.bySPU[id]
+		if n := len(s.clean) + len(s.dirty); n != len(s.list)-s.pinned {
+			return fmt.Errorf("mem audit: spu%d LRU heaps hold %d pages, %d linked and %d pinned",
+				id, n, len(s.list), s.pinned)
+		}
 	}
 	// In-flight evictions keep their SPU charge until write-back ends,
 	// so per-SPU charges may exceed the owned-page count by at most the
@@ -532,7 +567,7 @@ func (m *Manager) auditFast() error {
 		charged += u
 		owned := 0
 		if i := int(s.ID()); i < len(m.bySPU) {
-			owned = len(m.bySPU[i])
+			owned = len(m.bySPU[i].list)
 		}
 		if int(u) < owned {
 			return fmt.Errorf("mem audit: SPU %d charged %.0f but owns %d pages", s.ID(), u, owned)
@@ -542,9 +577,9 @@ func (m *Manager) auditFast() error {
 				s.ID(), u, owned, slack)
 		}
 	}
-	if int(charged) != len(m.pages)+m.inFlight {
+	if int(charged) != m.linked+m.inFlight {
 		return fmt.Errorf("mem audit: total charges %.0f != %d frames in use",
-			charged, len(m.pages)+m.inFlight)
+			charged, m.linked+m.inFlight)
 	}
 	return nil
 }

@@ -130,8 +130,8 @@ func TestTouchUpdatesLastUse(t *testing.T) {
 	p := m.Allocate(us[0].ID(), Anon, nil)
 	eng.At(50*sim.Millisecond, "touch", func() { m.Touch(p, us[0].ID()) })
 	eng.Run()
-	if p.LastUse != 50*sim.Millisecond {
-		t.Fatalf("LastUse = %v", p.LastUse)
+	if p.LastUse() != 50*sim.Millisecond {
+		t.Fatalf("LastUse = %v", p.LastUse())
 	}
 }
 

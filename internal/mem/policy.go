@@ -35,8 +35,8 @@ func (m *Manager) PolicyTick() {
 	// is under its entitlement was denied memory since the last tick.
 	deficit := m.ReservePages() - m.FreePages()
 	lenderPressure := false
-	for id, hit := range m.pressure {
-		if !hit {
+	for id := range m.bySPU {
+		if !m.bySPU[id].pressure {
 			continue
 		}
 		s := m.spus.Get(core.SPUID(id))
@@ -80,8 +80,8 @@ func (m *Manager) PolicyTick() {
 		}
 	}
 
-	for id := range m.pressure {
-		m.pressure[id] = false
+	for id := range m.bySPU {
+		m.bySPU[id].pressure = false
 	}
 
 	// Enforce the adjusted limits and unblock anyone who can proceed.

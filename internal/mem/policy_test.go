@@ -166,7 +166,7 @@ func TestPropertyAccountingConserved(t *testing.T) {
 			default: // free
 				i := int(op) % len(live)
 				// Skip pages the pager already evicted behind our back.
-				if live[i].index >= 0 {
+				if live[i].spuIdx >= 0 {
 					m.Free(live[i])
 				}
 				live = append(live[:i], live[i+1:]...)

@@ -149,66 +149,62 @@ func (m *Manager) revokeLoans(needed int) {
 	m.auditBoundary("revoke-loan")
 }
 
-// lruBefore orders eviction candidates: least-recently-used first, ties
-// broken by allocation order so a scan's winner does not depend on the
-// incidental layout of the page list.
-func lruBefore(a, b *Page) bool {
-	return a.LastUse < b.LastUse || (a.LastUse == b.LastUse && a.seq < b.seq)
-}
-
-// scanVictims finds the clean and dirty LRU candidates in one SPU's page
-// list, merging with the best found so far (for multi-list scans).
-func scanVictims(l []*Page, victim, dirtyVictim *Page) (*Page, *Page) {
-	for _, p := range l {
-		if p.pinned || p.evicting {
-			continue
-		}
-		if p.dirty {
-			if dirtyVictim == nil || lruBefore(p, dirtyVictim) {
-				dirtyVictim = p
-			}
-			continue
-		}
-		if victim == nil || lruBefore(p, victim) {
-			victim = p
-		}
-	}
-	return victim, dirtyVictim
-}
-
-// evictFromSPU evicts the least-recently-used unpinned page owned by the
-// SPU — an O(pages of that SPU) scan of its own list rather than the
-// whole machine's.
+// evictFromSPU evicts the SPU's least-recently-used unpinned page.
 func (m *Manager) evictFromSPU(spu core.SPUID) bool {
-	if int(spu) >= len(m.bySPU) {
-		return false
-	}
-	victim, dirtyVictim := scanVictims(m.bySPU[spu], nil, nil)
-	return m.evictVictim(victim, dirtyVictim)
+	return m.evictVictim(m.victimFromSPU(spu))
 }
 
 // evictAny evicts the least-recently-used unpinned page regardless of
-// owner, scanning the per-SPU lists in SPU-id order for determinism.
+// owner.
 func (m *Manager) evictAny() bool {
-	var victim, dirtyVictim *Page
-	for _, l := range m.bySPU {
-		victim, dirtyVictim = scanVictims(l, victim, dirtyVictim)
-	}
-	return m.evictVictim(victim, dirtyVictim)
+	return m.evictVictim(m.victimAny())
 }
 
-// evictVictim evicts the chosen page, preferring the clean candidate
-// (which frees instantly) over the dirty one (which must be written back
-// first) — the standard pageout-daemon optimization; without it every
-// fault under memory pressure pays a full write-back plus a swap-in and
-// the machine collapses rather than degrades. It returns false when no
-// page qualifies. Dirty write-back goes through the pageout function;
-// the frame frees when the write completes — the revocation cost the
-// Reserve Threshold hides (§3.2).
-func (m *Manager) evictVictim(victim, dirtyVictim *Page) bool {
-	if victim == nil {
-		victim = dirtyVictim
+// victimFromSPU picks the SPU's next victim: the top of its clean LRU
+// heap, or of its dirty heap when it has no clean page. It is
+// O(log pages) per stale key refreshed, and nil when nothing qualifies.
+func (m *Manager) victimFromSPU(spu core.SPUID) *Page {
+	if int(spu) >= len(m.bySPU) {
+		return nil
 	}
+	s := &m.bySPU[spu]
+	if p := s.clean.top(); p != nil {
+		return p
+	}
+	return s.dirty.top()
+}
+
+// victimAny picks the machine-wide victim: the least-recently-used of
+// every SPU's clean heap top, or of the dirty tops when no SPU has a
+// clean page — O(#SPUs) plus the refreshes.
+func (m *Manager) victimAny() *Page {
+	if p := m.lruTop(false); p != nil {
+		return p
+	}
+	return m.lruTop(true)
+}
+
+// lruTop returns the least-recently-used of the SPUs' clean or dirty
+// heap tops. The tops are fresh, so their keys are their last uses.
+func (m *Manager) lruTop(dirty bool) *Page {
+	var best *Page
+	for i := range m.bySPU {
+		if p := m.bySPU[i].lru(dirty).top(); p != nil && (best == nil || lruLess(p, best)) {
+			best = p
+		}
+	}
+	return best
+}
+
+// evictVictim evicts the chosen page and returns false when there is
+// none. The pickers prefer a clean page (which frees instantly) over a
+// dirty one (which must be written back first) — the standard
+// pageout-daemon optimization; without it every fault under memory
+// pressure pays a full write-back plus a swap-in and the machine
+// collapses rather than degrades. Dirty write-back goes through the
+// pageout function; the frame frees when the write completes — the
+// revocation cost the Reserve Threshold hides (§3.2).
+func (m *Manager) evictVictim(victim *Page) bool {
 	if victim == nil {
 		return false
 	}
@@ -224,7 +220,6 @@ func (m *Manager) evictVictim(victim, dirtyVictim *Page) bool {
 	if victim.dirty && m.pageout != nil {
 		m.Stat.DirtyWrites++
 		m.Metrics.Counter(metrics.KeyMemDirtyWrites, victim.SPU).Inc()
-		victim.evicting = true
 		m.unlink(victim)
 		m.inFlight++
 		// Retry failed write-backs (degraded disk) with exponential
