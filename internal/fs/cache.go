@@ -23,14 +23,16 @@ type CachePage struct {
 	page    *mem.Page
 	valid   bool // contents present
 	dirty   bool
-	io      bool // read or allocation in flight
+	io      bool // read, write or allocation in flight
+	queued  bool // in the file system's flush queue
 	dirtier core.SPUID
 	waiters []func()
 }
 
 // PageEvicted implements mem.Owner: the cache forgets the page; future
 // reads fault it back in from disk. Dirty contents are written back by
-// the memory manager's pageout path before the frame is reused.
+// the memory manager's pageout path before the frame is reused. A
+// queued page stays in the flush queue until the next Flush drops it.
 func (cp *CachePage) PageEvicted(p *mem.Page) {
 	if cp.dirty {
 		cp.fs.dirtyCount--

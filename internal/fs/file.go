@@ -36,6 +36,10 @@ type File struct {
 	extents    []extent
 	metaSector int64 // where metadata rewrites land (a single sector)
 	seq        int64 // allocation order; deterministic identity for hashing
+	// id is unique among the files of one FileSystem, which numbers
+	// them in the order it first caches a page of each (0: not yet).
+	// Flush orders same-named files by it.
+	id int64
 
 	// lastReadEnd supports sequential-access detection for read-ahead.
 	lastReadEnd int64

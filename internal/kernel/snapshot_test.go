@@ -119,3 +119,27 @@ func TestRunUntilBeforeBootPanics(t *testing.T) {
 	}()
 	k.RunUntil(sim.Second)
 }
+
+// TestFaultedScenarioRepeatable runs faultedScenario five times and
+// requires byte-identical snapshots every 50 ms to 3 s. Its two SPUs
+// each write a file named "data" on their own disk, so a flush that
+// ordered same-named files by anything but a stable id would submit
+// their clusters in a different order from run to run.
+func TestFaultedScenarioRepeatable(t *testing.T) {
+	const step, end = 50 * sim.Millisecond, 3 * sim.Second
+	var want [][]byte
+	for run := 0; run < 5; run++ {
+		k := faultedScenario(t)
+		i := 0
+		for at := step; at <= end; at += step {
+			k.RunUntil(at)
+			s := k.Snapshot()
+			if run == 0 {
+				want = append(want, s)
+			} else if !bytes.Equal(s, want[i]) {
+				t.Fatalf("run %d diverges from run 0 at %v:\n--- run 0 ---\n%s\n--- run %d ---\n%s", run, at, want[i], run, s)
+			}
+			i++
+		}
+	}
+}
